@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .errors import DomainError, NumericError
-from .slowvary import ONE, SlowlyVarying, format_sv, sv_eval, sv_log_deriv
+from .slowvary import (ONE, Constant, SlowlyVarying, _eval, format_sv,
+                       sv_log_deriv)
 
 _E = math.e
 
@@ -25,6 +27,17 @@ _E = math.e
 # the magnitude and sign uniforms, 2/3 are reserved so the splittable
 # stream stays aligned per index
 _DOUBLES_PER_INDEX = 4
+
+# largest |survival(quantile(q)) - q| that quantile returns
+_RESIDUAL_TOL = 1e-10
+_NEWTON_STEPS = 100
+# quantile works through its input in blocks of this many draws, so the
+# kernel's working arrays stay in cache
+_BLOCK = 16384
+# inverse table node k sits at g = expm1(k / scale); the last node lies
+# past -ln of the smallest positive double (744.44)
+_TABLE_NODES = 4096
+_TABLE_G_MAX = 750.0
 
 
 @dataclass(frozen=True)
@@ -52,10 +65,23 @@ class MdtParams:
         return (f"beta={self.beta:g} gamma={self.gamma:g} "
                 f"V={format_sv(self.v)} u_star={self.u_star:.12g}")
 
+    @cached_property
+    def _inverse_table(self) -> "_InverseTable":
+        return _InverseTable(self)
+
 
 def _log_tail_y(params: MdtParams, y):
-    """ln of the tail formula as a function of y = ln u, y >= 1."""
-    return -params.beta * y + params.gamma * np.log(y) + np.log(sv_eval(params.v, y))
+    """ln of the tail formula as a function of y = ln u, y >= 1.
+
+    Unvalidated (callers check y); a zero gamma or a Constant V costs no
+    pass over y.
+    """
+    out = -params.beta * y
+    if params.gamma:
+        out = out + params.gamma * np.log(y)
+    if isinstance(params.v, Constant):
+        return out + math.log(params.v.c)
+    return out + np.log(_eval(params.v, y))
 
 
 def _log_tail_slope_y(params: MdtParams, y):
@@ -115,6 +141,81 @@ def _validate_activation(params: MdtParams) -> None:
             f"tail formula is not nonincreasing beyond u_star={params.u_star:g}")
 
 
+class _InverseTable:
+    """Monotone table of (g, y) with g = -ln S(y): the start and bracket of
+    quantile's Newton loop for every law without a closed-form inverse.
+
+    Node k sits at g = expm1(k / scale), so the node below a target is
+    found by arithmetic instead of a search.  Each node's y is solved
+    once, by the Newton loop quantile uses, and its g is then recomputed
+    from that y, so every (g, y) pair is exact.
+    """
+
+    def __init__(self, params: MdtParams):
+        y_star = math.log(params.u_star)
+        l_star = _log_tail_y(params, y_star)
+        y_max = y_star + _TABLE_G_MAX / params.beta
+        while l_star - _log_tail_y(params, y_max) < _TABLE_G_MAX:
+            y_max = y_star + 2.0 * (y_max - y_star)
+            if y_max > 1e6:
+                raise NumericError("tail formula too flat to invert",
+                                   {"law": params.describe(), "y": y_max})
+        self.scale = (_TABLE_NODES - 1) / math.log1p(_TABLE_G_MAX)
+        g = np.expm1(np.arange(_TABLE_NODES) / self.scale)
+        y = np.minimum(y_star + g / params.beta, y_max)
+        target = l_star - g
+        tol = 1e-13 * (1.0 + np.abs(target))
+        f = _newton(params, target, y, y_star, y_max, tol)
+        if not np.all(np.abs(f) <= tol):
+            raise NumericError("inverse table failed to converge",
+                               {"law": params.describe()})
+        self.g = l_star - _log_tail_y(params, y)
+        self.y = y
+        self.slope = np.diff(y) / np.diff(self.g)
+        # rounding moves a target at most one node off its computed index
+        k = np.arange(y.size)
+        self.lo = y[np.maximum(k - 1, 0)]
+        self.hi = y[np.minimum(k + 2, y.size - 1)]
+
+    def start(self, g: np.ndarray):
+        """Linear interpolation in the table at g, and a bracket of nodes."""
+        t = np.log1p(g)
+        t *= self.scale
+        k = np.minimum(t.astype(np.intp), self.y.size - 2)
+        return (self.y[k] + (g - self.g[k]) * self.slope[k],
+                self.lo[k], self.hi[k])
+
+
+def _newton(params: MdtParams, target: np.ndarray, y: np.ndarray,
+            lo, hi, f_tol: np.ndarray) -> np.ndarray:
+    """Safeguarded Newton on f(y) = log tail(y) - target, which decreases
+    in y, until |f| <= f_tol.
+
+    Works in place on the start y; lo and hi (arrays like y, or scalars)
+    bracket the roots, and a step that leaves the bracket becomes a
+    bisection.  Returns the residual f of each y's last evaluation.
+    """
+    f = _log_tail_y(params, y) - target
+    idx = np.flatnonzero(np.abs(f) > f_tol)
+    lo = np.broadcast_to(lo, y.shape)[idx]
+    hi = np.broadcast_to(hi, y.shape)[idx]
+    for _ in range(_NEWTON_STEPS):
+        if idx.size == 0:
+            break
+        ya, fa = y[idx], f[idx]
+        lo = np.where(fa > 0, ya, lo)
+        hi = np.where(fa < 0, ya, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            y_new = ya - fa / _log_tail_slope_y(params, ya)
+        y_new = np.where((y_new > lo) & (y_new < hi), y_new, 0.5 * (lo + hi))
+        y[idx] = y_new
+        fa = _log_tail_y(params, y_new) - target[idx]
+        f[idx] = fa
+        keep = np.abs(fa) > f_tol[idx]
+        idx, lo, hi = idx[keep], lo[keep], hi[keep]
+    return f
+
+
 def tail_formula(params: MdtParams, u):
     """u**(-beta) (ln u)**gamma V(ln u), defined for u >= e.  Un-clamped."""
     u_arr = np.asarray(u, dtype=float)
@@ -147,64 +248,55 @@ def survival(params: MdtParams, u):
 def quantile(params: MdtParams, q):
     """Inverse survival: the u with survival(u) = q, for q in (0, 1].
 
-    Safeguarded Newton on the y = ln u axis using the exact log-tail slope;
-    vectorized over q.
+    Solves for y = ln u against the target g = -ln q, vectorized over q.
+    For the pure power law (gamma = 0, constant V) the start is the exact
+    inverse y = y_star + g / beta, which the first check accepts.  Every
+    other law in the grammar starts from linear interpolation in a
+    monotone table of (-ln S(y), y), built once per law and cached on the
+    params, inside a bracket of the table nodes around the target; one
+    Newton step then usually converges.  The loop is safeguarded Newton
+    on the exact log-tail slope, with bisection inside the bracket.  The
+    residual of each draw's last convergence check is its post-check:
+    NumericError, with the law and the worst q, unless every draw has
+    |survival(u) - q| <= 1e-10.
     """
-    q_arr = np.atleast_1d(np.asarray(q, dtype=float))
-    if not np.all(np.isfinite(q_arr)) or np.any(q_arr <= 0) or np.any(q_arr > 1):
+    q_arr = np.asarray(q, dtype=float)
+    flat = q_arr.reshape(-1)
+    out = np.empty_like(flat)
+    worst_err, worst_q = 0.0, 1.0
+    for i in range(0, flat.size, _BLOCK):
+        err, q_at = _quantile_block(params, flat[i:i + _BLOCK], out[i:i + _BLOCK])
+        if not err <= worst_err:
+            worst_err, worst_q = err, q_at
+    if not worst_err <= _RESIDUAL_TOL:
+        raise NumericError("quantile failed to reach tolerance",
+                           {"law": params.describe(), "q": worst_q,
+                            "max_abs_err": worst_err})
+    return float(out[0]) if q_arr.ndim == 0 else out.reshape(q_arr.shape)
+
+
+def _quantile_block(params: MdtParams, q: np.ndarray, out: np.ndarray):
+    """quantile on one block, written to out; returns the largest residual
+    and its q."""
+    if not (q.min() > 0 and q.max() <= 1):
         raise DomainError("quantile requires q in (0, 1]")
     y_star = math.log(params.u_star)
-    lnq = np.log(q_arr)
-    target = lnq + _log_tail_y(params, y_star)
-
-    lo = np.full_like(lnq, y_star)
-    # log tail falls at least (beta - slack) per unit y past the activation
-    hi = y_star + np.maximum(-lnq, 1e-12) / max(params.beta - 2.0, 0.5) + 2.0
-    for _ in range(200):
-        bad = _log_tail_y(params, hi) > target
-        if not np.any(bad):
-            break
-        hi = np.where(bad, y_star + 2.0 * (hi - y_star), hi)
+    g = -np.log(q)
+    if params.gamma == 0 and isinstance(params.v, Constant):
+        y = y_star + g / params.beta
+        lo, hi = y_star, y_star + _TABLE_G_MAX / params.beta
     else:
-        raise NumericError("quantile bracket growth failed", {"q_min": float(q_arr.min())})
-
-    y = np.minimum(hi, lo + np.maximum(-lnq, 0.0) / params.beta)
-    # |S - q| <= q |f| for small f, so this log-space tolerance delivers
-    # absolute accuracy 1e-13 in probability
-    f_tol = np.minimum(1e-13 / q_arr, 0.3) + 3e-15
-    flat_y = y.reshape(-1)
-    flat_lo, flat_hi = lo.reshape(-1), hi.reshape(-1)
-    flat_target, flat_tol = np.asarray(target).reshape(-1), f_tol.reshape(-1)
-    active = np.arange(flat_y.size)
-    for _ in range(100):
-        ya = flat_y[active]
-        f = _log_tail_y(params, ya) - flat_target[active]
-        done = np.abs(f) <= flat_tol[active]
-        if np.any(done):
-            keep = ~done
-            active = active[keep]
-            if active.size == 0:
-                break
-            ya, f = ya[keep], f[keep]
-        lo_a, hi_a = flat_lo[active], flat_hi[active]
-        lo_a = np.where(f > 0, ya, lo_a)
-        hi_a = np.where(f < 0, ya, hi_a)
-        slope = _log_tail_slope_y(params, ya)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            y_new = ya - f / slope
-        fallback = ~np.isfinite(y_new) | (y_new <= lo_a) | (y_new >= hi_a)
-        y_new = np.where(fallback, 0.5 * (lo_a + hi_a), y_new)
-        flat_lo[active], flat_hi[active], flat_y[active] = lo_a, hi_a, y_new
-    y = flat_y.reshape(y.shape)
-    achieved = np.exp(_log_tail_y(params, y) - _log_tail_y(params, y_star))
-    err = np.abs(achieved - q_arr)
-    if np.any(err > 1e-10):
-        raise NumericError("quantile failed to reach tolerance",
-                           {"max_abs_err": float(err.max())})
-    y = np.where(q_arr == 1.0, y_star, y)
-    out = np.exp(y)
-    out = np.where(q_arr == 1.0, params.u_star, out)
-    return float(out[0]) if np.ndim(q) == 0 else out
+        y, lo, hi = params._inverse_table.start(g)
+    # |S - q| = q |expm1(f)| for the log-space residual f, so this
+    # tolerance delivers absolute accuracy 1e-13 in probability; the clamp
+    # keeps the quotient finite at subnormal q
+    f_tol = 1e-13 / np.maximum(q, 1e-13 / 0.3) + 3e-15
+    f = _newton(params, _log_tail_y(params, y_star) - g, y, lo, hi, f_tol)
+    err = q * np.abs(np.expm1(f))
+    worst = int(np.argmax(err))
+    np.exp(y, out=out)
+    out[q == 1.0] = params.u_star
+    return float(err[worst]), float(q[worst])
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -22,7 +23,7 @@ import numpy as np
 from .bounds import TailCurve, q_bound_closed, theta_regime
 from .distribution import MdtParams, quantile
 from .entropy import FieldModel
-from .errors import DomainError
+from .errors import DomainError, NumericError
 from ._version import __version__ as _version
 
 _E = math.e
@@ -139,6 +140,16 @@ def _draw_magnitudes(params: MdtParams, gen: np.random.Generator, shape) -> np.n
     return sign * mag
 
 
+@contextmanager
+def _failure_context(seed: int, n: int, chunk: int):
+    """Add where a chunk failed to the diagnostics of its NumericError."""
+    try:
+        yield
+    except NumericError as exc:
+        exc.diagnostics.update(seed=seed, n=n, chunk=chunk)
+        raise
+
+
 def _check_budget(plan: SimulationPlan, per_rep_draws: int) -> None:
     total = plan.reps * per_rep_draws
     if total > plan.budget:
@@ -175,7 +186,8 @@ def simulate(plan: SimulationPlan) -> EmpiricalTailReport:
     def run(task):
         ni, n, ci, m = task
         gen = _chunk_generator(plan.seed, ni, ci)
-        draws = _draw_magnitudes(plan.params, gen, (m, n))
+        with _failure_context(plan.seed, n, ci):
+            draws = _draw_magnitudes(plan.params, gen, (m, n))
         s = np.abs(draws.sum(axis=1)) / math.sqrt(n)
         s.sort()
         return ni, m - np.searchsorted(s, u_grid, side="right")
@@ -209,7 +221,8 @@ def simulate_field(model: FieldModel, plan: SimulationPlan) -> EmpiricalTailRepo
         ni, n, ci, m = task
         gen = _chunk_generator(plan.seed, ni, ci)
         u = gen.random((m, n, j_count, 2))
-        xi = quantile(plan.params, 1.0 - u[..., 0])
+        with _failure_context(plan.seed, n, ci):
+            xi = quantile(plan.params, 1.0 - u[..., 0])
         xi *= np.where(u[..., 1] < 0.5, -1.0, 1.0)
         phase = gen.random((m, n, j_count)) * (2.0 * math.pi)
         a = (xi * np.cos(phase)).sum(axis=1) * w   # (m, J)
@@ -370,7 +383,8 @@ def coverage_miss_rate(params: MdtParams, n: int, radius: float, trials: int,
     misses = 0
     for ci, m in _chunks(trials, n):
         gen = _chunk_generator(seed, 0, ci)
-        draws = _draw_magnitudes(params, gen, (m, n))
+        with _failure_context(seed, n, ci):
+            draws = _draw_magnitudes(params, gen, (m, n))
         a_n = draws.mean(axis=1)
         misses += int(np.count_nonzero(np.abs(a_n) > radius))
     return misses / trials

@@ -1,13 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from modtail.distribution import (MdtParams, make_mdt, quantile, sample,
                                   survival, tail_formula)
 from modtail.errors import DomainError
 from modtail.harness import dkw_halfwidth
-from modtail.slowvary import Constant, LogPower, parse_sv
+from modtail.slowvary import (Constant, IterLogPower, LogPower, Product,
+                              parse_sv)
+
+SMALLEST_Q = 5e-324
 
 E = math.e
 
@@ -69,6 +74,59 @@ def test_quantile_roundtrip():
     q = np.geomspace(1e-12, 1.0, 500)
     err = np.abs(survival(p, quantile(p, q)) - q)
     assert err.max() < 1e-10
+
+
+def test_quantile_pure_power_closed_form():
+    p = make_mdt(4.0, 0.0)
+    gen = np.random.Generator(np.random.Philox(key=3))
+    q = np.concatenate([1.0 - gen.random(1 << 16), np.geomspace(1e-12, 1.0, 4001)])
+    rel = np.abs(quantile(p, q) / (p.u_star * q ** -0.25) - 1.0)
+    assert rel.max() <= 1e-15
+
+
+def test_quantile_closed_form_matches_general_path():
+    # LogPower(0) is the constant 1, but it is not a Constant node, so this
+    # law goes through the inverse table and Newton
+    closed, general = make_mdt(4.0, 0.0), make_mdt(4.0, 0.0, LogPower(0.0))
+    q = np.concatenate([np.linspace(1e-3, 1.0, 2001), np.geomspace(SMALLEST_Q, 1.0, 2001)])
+    assert np.allclose(quantile(general, q), quantile(closed, q), rtol=1e-12, atol=0)
+
+
+def test_quantile_subnormal_q_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = quantile(make_mdt(4.0, 0.0), SMALLEST_Q)
+    assert u == pytest.approx(E * SMALLEST_Q ** -0.25, rel=1e-13)
+
+
+# V: any grammar tree, or one that vanishes at infinity
+grammar_v = st.one_of(
+    st.recursive(
+        st.one_of(st.floats(0.1, 10.0).map(Constant),
+                  st.floats(-3.0, 3.0).map(LogPower),
+                  st.floats(-3.0, 3.0).map(IterLogPower)),
+        lambda kids: st.tuples(kids, kids).map(lambda t: Product(*t)),
+        max_leaves=3),
+    st.floats(-3.0, -0.01).map(LogPower),
+    st.floats(-3.0, -0.01).map(IterLogPower))
+
+
+@given(beta=st.floats(2.01, 8.0, exclude_min=True),
+       gamma=st.one_of(st.just(-1.0), st.floats(-6.0, 6.0)),
+       v=grammar_v)
+@settings(max_examples=150, deadline=None)
+def test_quantile_property_over_grammar(beta, gamma, v):
+    try:
+        p = make_mdt(beta, gamma, v)
+    except DomainError:
+        assume(False)
+    q = np.geomspace(SMALLEST_Q, 1.0, 400)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = quantile(p, q)
+    assert np.max(np.abs(survival(p, u) - q)) <= 1e-10
+    assert np.all(np.diff(u) <= 0)
+    assert quantile(p, 1.0) == p.u_star
 
 
 def test_quantile_domain():

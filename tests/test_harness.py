@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from modtail import distribution
 from modtail.bounds import closed_curve, witness_curve
 from modtail.distribution import make_mdt, survival
 from modtail.entropy import FieldModel
-from modtail.errors import DomainError
+from modtail.errors import DomainError, NumericError
 from modtail.harness import (certify, confidence_radius, coverage_miss_rate,
                              dkw_halfwidth, make_plan, simulate,
                              simulate_field, tail_slope)
@@ -199,3 +200,20 @@ def test_field_single_component_single_point():
     # |xi cos(U)| <= |xi|, so the field tail sits below the scalar survival
     truth = survival(PARAMS, report.u_grid)
     assert np.all(report.qhat <= truth + report.dkw)
+
+
+@pytest.mark.parametrize("runner", ["simulate", "simulate_field", "coverage"])
+def test_quantile_failure_names_its_chunk(runner, monkeypatch):
+    monkeypatch.setattr(distribution, "_RESIDUAL_TOL", -1.0)
+    plan = small_plan(seed=5, n_grid=(3,), reps=1000, threads=2)
+    with pytest.raises(NumericError) as info:
+        if runner == "simulate":
+            simulate(plan)
+        elif runner == "simulate_field":
+            simulate_field(FieldModel(PARAMS, (1.0, 0.5), resolution=4), plan)
+        else:
+            coverage_miss_rate(PARAMS, n=3, radius=1.0, trials=100, seed=5)
+    diag = info.value.diagnostics
+    assert diag["law"] == PARAMS.describe()
+    assert 0 < diag["q"] <= 1
+    assert (diag["seed"], diag["n"], diag["chunk"]) == (5, 3, 0)
