@@ -6,8 +6,8 @@ from .errors import ConfigError, DomainError, ModtailError, NumericError
 from .slowvary import (Constant, IterLogPower, LogPower, Product,
                        SlowlyVarying, format_sv, limit_at_infinity_is_zero,
                        parse_sv, sv_eval)
-from .distribution import (MdtParams, SampleBatch, make_mdt, quantile, sample,
-                           sample_values, survival, tail_formula)
+from .distribution import (MdtParams, make_mdt, quantile, sample, survival,
+                           tail_formula)
 from .moments import (MomentCurve, default_p_grid, moment_from_tail,
                       natural_psi, theta, theta_regime, verify_equivalence)
 from .fenchel import (FenchelCurve, GeneratingFunction, fenchel,

@@ -159,18 +159,24 @@ def lower_witness(params: MdtParams, u):
 
 @dataclass(frozen=True, eq=False)
 class TailCurve:
-    """A u -> bound/estimate curve with provenance and constants."""
+    """A u -> bound/estimate curve with provenance and constants; kind is
+    "upper" for an upper bound on Q(u), "lower" for a lower witness."""
 
     fn: Callable[[np.ndarray], np.ndarray]
     provenance: str
     u_min: float
+    kind: str
     constants: Dict[str, float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.kind not in ("upper", "lower"):
+            raise DomainError(f"curve kind must be 'upper' or 'lower', got {self.kind!r}")
 
     def __call__(self, u):
         return self.fn(u)
 
     def is_upper_bound(self) -> bool:
-        return self.provenance != "lower-witness"
+        return self.kind == "upper"
 
     def evaluate(self, u_grid: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(u_grid, dtype=float)), dtype=float)
@@ -191,7 +197,7 @@ def closed_curve(params: MdtParams, c: Optional[float] = None,
     return TailCurve(
         fn=lambda u: q_bound_closed(params, u, c=c_val),
         provenance=f"closed-form-ex{'1' if regime == 'A' else '2' if regime == 'B' else '3'}",
-        u_min=_EE if regime == "B" else _E,
+        u_min=_EE if regime == "B" else _E, kind="upper",
         constants={"c": c_val, "mode": mode})
 
 
@@ -199,13 +205,14 @@ def fenchel_curve_bound(params: MdtParams, c1: Optional[float] = None,
                         mode: str = "pessimistic") -> TailCurve:
     c1_val = c1_pessimistic(params) if c1 is None else float(c1)
     return TailCurve(fn=lambda u: q_bound_fenchel(params, u, c1=c1_val),
-                     provenance="fenchel-thm21", u_min=_E,
+                     provenance="fenchel-thm21", u_min=_E, kind="upper",
                      constants={"c1": c1_val, "mode": mode})
 
 
 def witness_curve(params: MdtParams) -> TailCurve:
     return TailCurve(fn=lambda u: lower_witness(params, u),
-                     provenance="lower-witness", u_min=params.u_star, constants={})
+                     provenance="lower-witness", u_min=params.u_star,
+                     kind="lower")
 
 
 def calibrate_closed_constant(params: MdtParams, u_grid: np.ndarray,

@@ -206,6 +206,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (NumericError, DomainError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
+        for key, value in getattr(exc, "diagnostics", {}).items():
+            print(f"  {key}: {value}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

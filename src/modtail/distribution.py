@@ -10,7 +10,7 @@ centered.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -23,10 +23,8 @@ from .slowvary import (ONE, Constant, SlowlyVarying, _eval, format_sv,
 
 _E = math.e
 
-# one Philox counter block (4 doubles) per sample index; columns 0/1 hold
-# the magnitude and sign uniforms, 2/3 are reserved so the splittable
-# stream stays aligned per index
-_DOUBLES_PER_INDEX = 4
+# the random stream is read in blocks of this many 64-bit words
+STREAM_BLOCK = 1 << 18
 
 # largest |survival(quantile(q)) - q| that quantile returns
 _RESIDUAL_TOL = 1e-10
@@ -299,45 +297,40 @@ def _quantile_block(params: MdtParams, q: np.ndarray, out: np.ndarray):
     return float(err[worst]), float(q[worst])
 
 
-@dataclass(frozen=True, eq=False)
-class SampleBatch:
-    """Reproducible i.i.d. draws from the completed, symmetrized law."""
-
-    seed: int
-    offset: int
-    params: MdtParams
-    values: np.ndarray = field(repr=False)
-
-    def __len__(self):
-        return self.values.size
-
-    def to_csv(self, path) -> None:
-        header = (f"# modtail sample batch\n# {self.params.describe()}\n"
-                  f"# seed={self.seed} offset={self.offset} n={self.values.size}\nvalue")
-        np.savetxt(path, self.values, fmt="%.17g", header=header, comments="")
+def stream_words(seed: int, block: int, count: int) -> np.ndarray:
+    """The first count raw uint64 words of block `block` of the seed's
+    random stream: Philox keyed by SeedSequence([seed, block])."""
+    return np.random.Philox(np.random.SeedSequence([seed, block])).random_raw(count)
 
 
-def _uniforms(seed: int, n: int, offset: int) -> np.ndarray:
-    bitgen = np.random.Philox(key=np.uint64(seed))
-    if offset:
-        bitgen = bitgen.advance(offset)
-    return np.random.Generator(bitgen).random((n, _DOUBLES_PER_INDEX))
+def word_uniforms(words: np.ndarray) -> np.ndarray:
+    """q = ((r >> 11) + 1) * 2**-53 for each word r: the top 53 bits as a
+    uniform on (0, 1], exactly the values 1 - Generator.random() takes."""
+    return ((words >> np.uint64(11)) + np.uint64(1)) * 2.0 ** -53
 
 
-def sample(params: MdtParams, seed: int, n: int, offset: int = 0) -> SampleBatch:
-    """n i.i.d. draws of sign * quantile(U), U uniform on (0, 1].
+def sign_by_words(x: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Negate x (nonnegative, contiguous) in place where the word's low
+    bit is set: a bit word_uniforms does not read, so sign and magnitude
+    are independent."""
+    bits = x.view(np.uint64)
+    bits |= words << np.uint64(63)
+    return x
 
-    The stream is counter-based: draws for indices [offset, offset+n)
-    are identical whether produced in one call or split across workers.
+
+def sample(params: MdtParams, seed: int, n: int, offset: int = 0) -> np.ndarray:
+    """n i.i.d. draws of sign * quantile(q), q uniform on (0, 1].
+
+    Draw i takes its sign and magnitude from word offset + i of the
+    seed's stream, read in fixed blocks of STREAM_BLOCK words, so the
+    draws for indices [offset, offset+n) are identical whether produced
+    in one call or split across calls.
     """
     if n < 1:
         raise DomainError("sample requires n >= 1")
-    u = _uniforms(seed, n, offset)
-    mag = quantile(params, 1.0 - u[:, 0])
-    sign = np.where(u[:, 1] < 0.5, -1.0, 1.0)
-    return SampleBatch(seed=seed, offset=offset, params=params, values=sign * mag)
-
-
-def sample_values(params: MdtParams, seed: int, n: int, offset: int = 0) -> np.ndarray:
-    """Bare array version of :func:`sample` for hot loops."""
-    return sample(params, seed, n, offset).values
+    if offset < 0:
+        raise DomainError("sample requires offset >= 0")
+    blocks = range(offset // STREAM_BLOCK, (offset + n - 1) // STREAM_BLOCK + 1)
+    words = np.concatenate([stream_words(seed, b, STREAM_BLOCK) for b in blocks])
+    words = words[offset % STREAM_BLOCK:][:n]
+    return sign_by_words(quantile(params, word_uniforms(words)), words)

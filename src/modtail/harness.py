@@ -4,9 +4,11 @@ Estimates Qhat(u) = max over an n-grid of empirical tails of the
 normalized sums, wraps it in a uniform DKW confidence band, and checks
 every bound curve against it.  The sup over all n is truncated to the
 plan's n-grid; per-n curves are kept in the report so saturation can be
-judged.  All randomness flows from the plan's master seed through
-fixed-size chunks with independent counter-based streams, so results do
-not depend on the worker count.
+judged.  One chunked loop serves every statistic: chunk ci reads block
+ci of the seed's counter-based stream, one 64-bit word per draw, so
+results do not depend on the worker count.  Each replication draws one
+block of n_max draws and every S_n on the n-grid is a prefix sum of it;
+the tails share draws, so the DKW level is split over the n-grid.
 """
 
 from __future__ import annotations
@@ -14,14 +16,14 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .bounds import TailCurve, q_bound_closed, theta_regime
-from .distribution import MdtParams, quantile
+from .distribution import (STREAM_BLOCK, MdtParams, quantile, sign_by_words,
+                           stream_words, word_uniforms)
 from .entropy import FieldModel
 from .errors import DomainError, NumericError
 from ._version import __version__ as _version
@@ -31,7 +33,6 @@ _EE = math.e ** math.e
 
 DEFAULT_N_GRID = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 DEFAULT_BUDGET = 10 ** 9
-CHUNK_REPS = 4096
 
 
 def dkw_halfwidth(reps: int, delta: float) -> float:
@@ -59,7 +60,7 @@ class SimulationPlan:
             raise DomainError("reps must be >= 1000")
 
     def total_draws(self) -> int:
-        return self.reps * sum(self.n_grid)
+        return self.reps * self.n_grid[-1]
 
     def echo(self) -> Dict:
         return {"params": self.params.describe(), "n_grid": list(self.n_grid),
@@ -111,7 +112,11 @@ class EmpiricalTailReport:
 
     @property
     def dkw(self) -> float:
-        return dkw_halfwidth(self.plan.reps, self.plan.dkw_delta)
+        """Half-width of the band that holds for every n-grid tail at once
+        with probability 1 - dkw_delta: the tails share draws, so the
+        level is split over the grid (Bonferroni)."""
+        return dkw_halfwidth(self.plan.reps,
+                             self.plan.dkw_delta / len(self.plan.n_grid))
 
     def to_csv(self, path, header_extra: str = "") -> None:
         cols = ["u"] + [f"tail_n{n}" for n in self.plan.n_grid] + ["qhat", "dkw"]
@@ -121,33 +126,11 @@ class EmpiricalTailReport:
                   f"# {self.plan.params.describe()}\n"
                   f"# seed={self.plan.seed} reps={self.plan.reps} "
                   f"statistic={self.statistic}\n"
+                  f"# dkw joint level={1 - self.plan.dkw_delta:g} "
+                  f"split over {len(self.plan.n_grid)} n: "
+                  f"delta_n={self.plan.dkw_delta / len(self.plan.n_grid):g}\n"
                   f"{header_extra}" + ",".join(cols))
         np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=header, comments="")
-
-
-def _chunk_key(seed: int, n_index: int, chunk_index: int) -> np.ndarray:
-    return np.random.SeedSequence([seed, n_index, chunk_index]).generate_state(2, np.uint64)
-
-
-def _chunk_generator(seed: int, n_index: int, chunk_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=_chunk_key(seed, n_index, chunk_index)))
-
-
-def _draw_magnitudes(params: MdtParams, gen: np.random.Generator, shape) -> np.ndarray:
-    u = gen.random(shape + (2,))
-    mag = quantile(params, 1.0 - u[..., 0])
-    sign = np.where(u[..., 1] < 0.5, -1.0, 1.0)
-    return sign * mag
-
-
-@contextmanager
-def _failure_context(seed: int, n: int, chunk: int):
-    """Add where a chunk failed to the diagnostics of its NumericError."""
-    try:
-        yield
-    except NumericError as exc:
-        exc.diagnostics.update(seed=seed, n=n, chunk=chunk)
-        raise
 
 
 def _check_budget(plan: SimulationPlan, per_rep_draws: int) -> None:
@@ -159,88 +142,105 @@ def _check_budget(plan: SimulationPlan, per_rep_draws: int) -> None:
             f"reduce reps to <= {suggested} or raise the budget")
 
 
-CHUNK_DRAWS = 1 << 22
+def _chunks(reps: int, per_rep: int) -> List[Tuple[int, int]]:
+    """Deterministic chunk layout: (index, replications) pairs of about
+    STREAM_BLOCK words each, fixed by (reps, per_rep) alone, so results
+    never depend on the worker count."""
+    size = max(1, STREAM_BLOCK // per_rep)
+    return [(ci, min(size, reps - start))
+            for ci, start in enumerate(range(0, reps, size))]
 
 
-def _chunks(reps: int, per_rep: int = 1) -> List[Tuple[int, int]]:
-    """Deterministic chunk layout: fixed size given (reps, per_rep), so
-    results never depend on the worker count."""
-    size = max(1, min(CHUNK_REPS, CHUNK_DRAWS // max(per_rep, 1)))
-    out = []
-    start = 0
-    ci = 0
-    while start < reps:
-        m = min(size, reps - start)
-        out.append((ci, m))
-        start += m
-        ci += 1
-    return out
+def _run(seed: int, reps: int, per_rep: int, n: int, threads: int,
+         statistic: Callable[[np.ndarray, int], np.ndarray]):
+    """Sum statistic(words, m) over the chunks of reps replications.
+
+    Chunk ci holds m replications and reads the first m * per_rep words
+    of block ci of the seed's stream; a NumericError names the seed, the
+    chunk and n.
+    """
+
+    def run(chunk):
+        ci, m = chunk
+        try:
+            return statistic(stream_words(seed, ci, m * per_rep), m)
+        except NumericError as exc:
+            exc.diagnostics.update(seed=seed, n=n, chunk=ci)
+            raise
+
+    chunks = _chunks(reps, per_rep)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return sum(pool.map(run, chunks))
+    return sum(map(run, chunks))
+
+
+def _draws(params: MdtParams, words: np.ndarray) -> np.ndarray:
+    """Signed draws of the law from stream words, one word each."""
+    return sign_by_words(quantile(params, word_uniforms(words)), words)
+
+
+def _prefix_sums(x: np.ndarray, n_grid: Sequence[int]) -> np.ndarray:
+    """Unnormalized partial sums over axis 1 of x (replications, n_max,
+    ...) at each n of the grid: the segment sums between consecutive
+    grid points, accumulated."""
+    starts = np.array((0,) + tuple(n_grid[:-1]))
+    return np.cumsum(np.add.reduceat(x, starts, axis=1), axis=1)
+
+
+def _tail_counts(stat: np.ndarray, u_grid: np.ndarray) -> np.ndarray:
+    """Exceedance counts above each u of each column of stat (m, G)."""
+    cols = np.sort(stat, axis=0).T
+    return np.array([len(c) - np.searchsorted(c, u_grid, side="right")
+                     for c in cols])
 
 
 def simulate(plan: SimulationPlan) -> EmpiricalTailReport:
-    """Empirical tails of |S_n| on the u-grid for every n in the plan."""
-    _check_budget(plan, sum(plan.n_grid))
-    u_grid = plan.u_grid
-    counts = np.zeros((len(plan.n_grid), u_grid.size), dtype=np.int64)
+    """Empirical tails of |S_n| on the u-grid for every n in the plan.
 
-    def run(task):
-        ni, n, ci, m = task
-        gen = _chunk_generator(plan.seed, ni, ci)
-        with _failure_context(plan.seed, n, ci):
-            draws = _draw_magnitudes(plan.params, gen, (m, n))
-        s = np.abs(draws.sum(axis=1)) / math.sqrt(n)
-        s.sort()
-        return ni, m - np.searchsorted(s, u_grid, side="right")
+    Each replication draws one block of n_max draws and every S_n is a
+    prefix sum of it (common random numbers across the n-grid).
+    """
+    n_max = plan.n_grid[-1]
+    _check_budget(plan, n_max)
+    scale = 1.0 / np.sqrt(plan.n_grid)
 
-    tasks = [(ni, n, ci, m) for ni, n in enumerate(plan.n_grid)
-             for ci, m in _chunks(plan.reps, n)]
-    if plan.threads > 1:
-        with ThreadPoolExecutor(max_workers=plan.threads) as pool:
-            results = list(pool.map(run, tasks))
-    else:
-        results = [run(t) for t in tasks]
-    for ni, cnt in results:
-        counts[ni] += cnt
+    def statistic(words, m):
+        x = _draws(plan.params, words).reshape(m, n_max)
+        return _tail_counts(np.abs(_prefix_sums(x, plan.n_grid)) * scale,
+                            plan.u_grid)
+
+    counts = _run(plan.seed, plan.reps, n_max, n_max, plan.threads, statistic)
     return EmpiricalTailReport(plan=plan, counts=counts)
 
 
 def simulate_field(model: FieldModel, plan: SimulationPlan) -> EmpiricalTailReport:
     """Same pipeline with the per-replication statistic max over the
-    z-grid of |Y_n(z)|."""
-    j_count = model.n_components
-    _check_budget(plan, sum(plan.n_grid) * j_count)
-    u_grid = plan.u_grid
-    z = model.z_grid()
-    jidx = np.arange(1, j_count + 1)
-    cosmat = np.cos(2.0 * math.pi * np.outer(jidx, z))   # (J, M)
-    sinmat = np.sin(2.0 * math.pi * np.outer(jidx, z))
-    w = np.asarray(model.weights, dtype=float)
-    counts = np.zeros((len(plan.n_grid), u_grid.size), dtype=np.int64)
+    z-grid of |Y_n(z)|; each draw of a component takes a second word for
+    its phase."""
+    n_max, j_count = plan.n_grid[-1], model.n_components
+    _check_budget(plan, n_max * j_count)
+    # Y_n(z) = sum_j w_j (A_j cos(2 pi j z) - B_j sin(2 pi j z)) / sqrt(n)
+    # with (A_j, B_j) the partial sums of xi cos(phase) and xi sin(phase)
+    angle = 2.0 * math.pi * np.outer(np.arange(1, j_count + 1), model.z_grid())
+    w = np.asarray(model.weights, dtype=float)[:, None]
+    trig = np.concatenate([w * np.cos(angle), -w * np.sin(angle)])  # (2J, M)
+    scale = 1.0 / np.sqrt(plan.n_grid)
 
-    def run(task):
-        ni, n, ci, m = task
-        gen = _chunk_generator(plan.seed, ni, ci)
-        u = gen.random((m, n, j_count, 2))
-        with _failure_context(plan.seed, n, ci):
-            xi = quantile(plan.params, 1.0 - u[..., 0])
-        xi *= np.where(u[..., 1] < 0.5, -1.0, 1.0)
-        phase = gen.random((m, n, j_count)) * (2.0 * math.pi)
-        a = (xi * np.cos(phase)).sum(axis=1) * w   # (m, J)
-        b = (xi * np.sin(phase)).sum(axis=1) * w
-        y = (a @ cosmat - b @ sinmat) / math.sqrt(n)
-        stat = np.abs(y).max(axis=1)
-        stat.sort()
-        return ni, m - np.searchsorted(stat, u_grid, side="right")
+    def statistic(words, m):
+        words = words.reshape(2, m, n_max, j_count)
+        xi = _draws(plan.params, words[0])
+        phase = word_uniforms(words[1]) * (2.0 * math.pi)
+        parts = np.concatenate([xi * np.cos(phase), xi * np.sin(phase)], axis=2)
+        sums = _prefix_sums(parts, plan.n_grid).reshape(-1, 2 * j_count)
+        # row blocks keep each product's y in cache; one product over all
+        # rows gained nothing from a second thread
+        stat = np.concatenate([np.abs(sums[i:i + 1024] @ trig).max(axis=1)
+                               for i in range(0, len(sums), 1024)])
+        return _tail_counts(stat.reshape(m, -1) * scale, plan.u_grid)
 
-    tasks = [(ni, n, ci, m) for ni, n in enumerate(plan.n_grid)
-             for ci, m in _chunks(plan.reps, n * j_count)]
-    if plan.threads > 1:
-        with ThreadPoolExecutor(max_workers=plan.threads) as pool:
-            results = list(pool.map(run, tasks))
-    else:
-        results = [run(t) for t in tasks]
-    for ni, cnt in results:
-        counts[ni] += cnt
+    counts = _run(plan.seed, plan.reps, 2 * n_max * j_count, n_max,
+                  plan.threads, statistic)
     return EmpiricalTailReport(plan=plan, counts=counts, statistic="field-sup")
 
 
@@ -380,11 +380,9 @@ def coverage_miss_rate(params: MdtParams, n: int, radius: float, trials: int,
                        seed: int) -> float:
     """Fraction of fresh sample means whose deviation from 0 exceeds the
     radius; the law is exactly centered, so the target is 0."""
-    misses = 0
-    for ci, m in _chunks(trials, n):
-        gen = _chunk_generator(seed, 0, ci)
-        with _failure_context(seed, n, ci):
-            draws = _draw_magnitudes(params, gen, (m, n))
-        a_n = draws.mean(axis=1)
-        misses += int(np.count_nonzero(np.abs(a_n) > radius))
-    return misses / trials
+
+    def statistic(words, m):
+        a_n = _draws(params, words).reshape(m, n).mean(axis=1)
+        return int(np.count_nonzero(np.abs(a_n) > radius))
+
+    return _run(seed, trials, n, n, 1, statistic) / trials

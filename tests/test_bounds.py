@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from modtail.bounds import (SumMomentEnvelope, c1_pessimistic,
                             q_bound_closed, q_bound_fenchel,
                             rosenthal_constant, rosenthal_sum_moment,
                             witness_curve)
-from modtail.distribution import make_mdt, sample_values, survival
+from modtail.distribution import make_mdt, sample, survival
 from modtail.errors import DomainError
 from modtail.fenchel import GeneratingFunction, tail_from_gls
 from modtail.moments import moment_from_tail
@@ -41,7 +42,7 @@ def test_rosenthal_envelope_monte_carlo(n):
     m3 = moment_from_tail(params, 3.0)
     bound = rosenthal_sum_moment(params, 3.0, m2, m3)
     reps = 200000 // n + 1000
-    x = sample_values(params, seed=300 + n, n=reps * n).reshape(reps, n)
+    x = sample(params, seed=300 + n, n=reps * n).reshape(reps, n)
     s3 = np.abs(x.sum(axis=1) / math.sqrt(n)) ** 3
     mc, se = s3.mean(), s3.std() / math.sqrt(reps)
     assert mc + 3 * se <= bound
@@ -159,8 +160,14 @@ def test_curve_objects():
                          (fenchel_curve_bound(params), True),
                          (witness_curve(params), False)):
         assert curve.is_upper_bound() == upper
+        assert curve.kind == ("upper" if upper else "lower")
         vals = curve.evaluate(np.geomspace(curve.u_min, 1e4, 10))
         assert np.all((0 <= vals) & (vals <= 1))
+    # the kind decides, not the provenance string
+    renamed = dataclasses.replace(witness_curve(params), provenance="witness")
+    assert not renamed.is_upper_bound()
+    with pytest.raises(DomainError):
+        dataclasses.replace(witness_curve(params), kind="both")
 
 
 def test_curve_csv_roundtrip(tmp_path):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from modtail import distribution
 from modtail.cli import main
 
 FAST_PLAN = """
@@ -143,3 +144,14 @@ def test_seed_override_changes_output(tmp_path, cfg):
 def test_budget_override_guard(tmp_path, cfg):
     assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
                 "--budget", "100"]) == 3
+
+
+def test_numeric_error_prints_diagnostics(tmp_path, cfg, capsys, monkeypatch):
+    monkeypatch.setattr(distribution, "_RESIDUAL_TOL", -1.0)
+    assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
+                "--seed", "9"]) == 3
+    err = capsys.readouterr().err
+    assert "quantile failed to reach tolerance" in err
+    assert "  law: beta=4 gamma=0 V=c(1)" in err
+    for line in ("  seed: 9", "  n: 4", "  chunk: 0", "  q: ", "  max_abs_err: "):
+        assert line in err

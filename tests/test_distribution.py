@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from modtail.distribution import (MdtParams, make_mdt, quantile, sample,
-                                  survival, tail_formula)
+from modtail.distribution import (STREAM_BLOCK, MdtParams, make_mdt,
+                                  quantile, sample, sign_by_words,
+                                  stream_words, survival, tail_formula,
+                                  word_uniforms)
 from modtail.errors import DomainError
 from modtail.harness import dkw_halfwidth
 from modtail.slowvary import (Constant, IterLogPower, LogPower, Product,
@@ -138,30 +140,51 @@ def test_quantile_domain():
 
 def test_sample_deterministic():
     p = make_mdt(4.0, 0.0)
-    a = sample(p, seed=123, n=1000).values
-    b = sample(p, seed=123, n=1000).values
+    a = sample(p, seed=123, n=1000)
+    b = sample(p, seed=123, n=1000)
     assert np.array_equal(a, b)
-    assert not np.array_equal(a, sample(p, seed=124, n=1000).values)
+    assert not np.array_equal(a, sample(p, seed=124, n=1000))
 
 
 def test_sample_splittable_stream():
     # disjoint index ranges reproduce the single-shot sequence
     p = make_mdt(4.0, 0.0)
-    whole = sample(p, seed=9, n=1000).values
-    parts = [sample(p, seed=9, n=250, offset=o).values for o in (0, 250, 500, 750)]
+    whole = sample(p, seed=9, n=1000)
+    parts = [sample(p, seed=9, n=250, offset=o) for o in (0, 250, 500, 750)]
     assert np.array_equal(whole, np.concatenate(parts))
+    # a split across the boundary between two blocks of the stream
+    cut = STREAM_BLOCK - 3
+    whole = sample(p, seed=9, n=20, offset=cut - 7)
+    parts = [sample(p, seed=9, n=7, offset=cut - 7),
+             sample(p, seed=9, n=13, offset=cut)]
+    assert np.array_equal(whole, np.concatenate(parts))
+
+
+def test_word_decode():
+    words = np.array([0, 1, 2 ** 11, 2 ** 64 - 1], dtype=np.uint64)
+    q = word_uniforms(words)
+    assert q.tolist() == [2.0 ** -53, 2.0 ** -53, 2.0 ** -52, 1.0]
+    signed = sign_by_words(np.full(4, 2.5), words)
+    assert signed.tolist() == [2.5, -2.5, 2.5, -2.5]
+    # on the stream, the sign is balanced and the magnitude is uniform
+    words = stream_words(3, 0, 10 ** 5)
+    signs = sign_by_words(np.ones(words.size), words)
+    assert abs(signs.mean()) <= 4.0 / math.sqrt(words.size)
+    q = np.sort(word_uniforms(words))
+    ecdf = np.arange(1, q.size + 1) / q.size
+    assert np.max(np.abs(ecdf - q)) <= dkw_halfwidth(q.size, 1e-3)
 
 
 def test_sample_mean_near_zero():
     p = make_mdt(4.0, 0.0)
-    x = sample(p, seed=31337, n=10 ** 5).values
+    x = sample(p, seed=31337, n=10 ** 5)
     se = x.std() / math.sqrt(x.size)
     assert abs(x.mean()) <= 3 * se
 
 
 def test_sample_tail_matches_survival():
     p = make_mdt(4.0, 0.0)
-    x = sample(p, seed=2024, n=10 ** 5).values
+    x = sample(p, seed=2024, n=10 ** 5)
     u = 2 * p.u_star
     emp = np.mean(np.abs(x) > u)
     assert abs(emp - survival(p, u)) <= dkw_halfwidth(x.size, 1e-3)
@@ -170,6 +193,8 @@ def test_sample_tail_matches_survival():
 def test_sample_rejects_empty():
     with pytest.raises(DomainError):
         sample(CANONICAL, seed=1, n=0)
+    with pytest.raises(DomainError):
+        sample(CANONICAL, seed=1, n=5, offset=-1)
 
 
 def test_proportionality_beyond_activation():

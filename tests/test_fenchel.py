@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from modtail.distribution import make_mdt, sample_values
+from modtail.distribution import make_mdt, sample
 from modtail.errors import DomainError
 from modtail.fenchel import (FenchelCurve, GeneratingFunction, empirical_p_cap,
                              fenchel, gls_norm_empirical, gls_norm_from_moments,
@@ -128,7 +128,7 @@ def test_chebyshev_bound_dominates_survival():
 def test_norm_homogeneity():
     params = make_mdt(4.0, 0.0)
     psi = GeneratingFunction.from_theta(params)
-    x = sample_values(params, seed=77, n=5000)
+    x = sample(params, seed=77, n=5000)
     grid = np.linspace(2.0, empirical_p_cap(params, psi), 24)
     base = gls_norm_empirical(x, psi, grid)
     doubled = gls_norm_empirical(2.0 * x, psi, grid)
@@ -138,7 +138,7 @@ def test_norm_homogeneity():
 def test_empirical_norm_near_analytic():
     params = make_mdt(4.0, 0.0)
     psi = GeneratingFunction.from_theta(params)
-    x = sample_values(params, seed=4242, n=10 ** 6)
+    x = sample(params, seed=4242, n=10 ** 6)
     grid = np.linspace(2.0, empirical_p_cap(params, psi), 24)
     emp = gls_norm_empirical(x, psi, grid)
     curve = MomentCurve.compute(params, grid)

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from modtail import distribution
+from modtail import distribution, harness
 from modtail.bounds import closed_curve, witness_curve
-from modtail.distribution import make_mdt, survival
+from modtail.distribution import make_mdt, sample, stream_words, survival
 from modtail.entropy import FieldModel
 from modtail.errors import DomainError, NumericError
-from modtail.harness import (certify, confidence_radius, coverage_miss_rate,
-                             dkw_halfwidth, make_plan, simulate,
-                             simulate_field, tail_slope)
+from modtail.harness import (EmpiricalTailReport, certify, confidence_radius,
+                             coverage_miss_rate, dkw_halfwidth, make_plan,
+                             simulate, simulate_field, tail_slope)
 
 PARAMS = make_mdt(4.0, 0.0)
 
@@ -46,6 +46,32 @@ def test_budget_guard():
     plan = small_plan(budget=1000)
     with pytest.raises(DomainError):
         simulate(plan)
+    # the guard counts the draws made: one block of n_max = 4 draws per
+    # replication, times the J = 2 components for the field
+    plan = small_plan(budget=80000)
+    assert plan.total_draws() == 80000
+    simulate(plan)
+    with pytest.raises(DomainError):
+        simulate(small_plan(budget=79999))
+    model = FieldModel(PARAMS, (1.0, 0.5), resolution=4)
+    simulate_field(model, small_plan(reps=1000, budget=8000))
+    with pytest.raises(DomainError):
+        simulate_field(model, small_plan(reps=1000, budget=7999))
+
+
+def test_dkw_is_joint_over_the_n_grid(tmp_path):
+    # the per-n tails share draws, so the band splits its level over the
+    # grid (Bonferroni) and holds for all of them at once
+    plan = small_plan()
+    report = EmpiricalTailReport(plan=plan, counts=np.zeros((3, 24), np.int64))
+    assert report.dkw == dkw_halfwidth(20000, 1e-3 / 3)
+    report.to_csv(tmp_path / "r.csv")
+    assert "# dkw joint level=0.999 split over 3 n: delta_n=0.000333333" in \
+        (tmp_path / "r.csv").read_text()
+    # a single n keeps the single-CDF band
+    single = EmpiricalTailReport(plan=small_plan(n_grid=(1,)),
+                                 counts=np.zeros((1, 24), np.int64))
+    assert single.dkw == math.sqrt(math.log(2.0 / 1e-3) / (2.0 * 20000))
 
 
 def test_single_n_matches_survival():
@@ -55,6 +81,52 @@ def test_single_n_matches_survival():
     report = simulate(plan)
     truth = survival(PARAMS, report.u_grid)
     assert np.all(np.abs(report.qhat - truth) <= report.dkw)
+
+
+def test_chunks_read_the_sample_stream():
+    # with n_grid = (1,), S_1 is the draw itself, and the one chunk reads
+    # the start of block 0 of the seed's stream: the counts are sample()'s
+    u = np.geomspace(PARAMS.u_star, 30.0, 24)
+    report = simulate(make_plan(PARAMS, seed=17, n_grid=(1,), reps=5000,
+                                u_grid=u))
+    x = np.abs(sample(PARAMS, seed=17, n=5000))
+    assert np.array_equal(report.counts[0], (x[:, None] > u).sum(axis=0))
+
+
+def test_prefix_sums_match_independent_sums():
+    x = sample(PARAMS, seed=60, n=4000).reshape(500, 8)
+    sums = harness._prefix_sums(x, (1, 2, 4, 8))
+    assert np.allclose(sums, x.cumsum(axis=1)[:, [0, 1, 3, 7]],
+                       rtol=1e-12, atol=1e-12)
+    # the S_4 column, built from shared blocks, against row sums of
+    # independent draws: two-sample KS statistic on the u-grid below the
+    # asymptotic critical value at level 1e-3
+    reps = 20000
+    u = np.geomspace(0.05, 60.0, 200)
+    report = simulate(make_plan(PARAMS, seed=61, n_grid=(1, 2, 4, 8),
+                                reps=reps, u_grid=u))
+    s4 = np.abs(sample(PARAMS, seed=62, n=4 * reps).reshape(reps, 4)
+                .sum(axis=1)) / 2.0
+    ks = np.max(np.abs(report.tails[2] - (s4[:, None] > u).mean(axis=0)))
+    assert ks <= math.sqrt(-0.5 * math.log(1e-3 / 2)) * math.sqrt(2.0 / reps)
+
+
+def test_chunk_layout_ignores_threads():
+    layouts = []
+    for threads in (1, 2, 8):
+        seen = []
+
+        def statistic(words, m):
+            seen.append((int(words[0]), words.size, m))
+            return m
+
+        assert harness._run(3, 5000, 100, 100, threads, statistic) == 5000
+        layouts.append(sorted(seen))
+    assert layouts[0] == layouts[1] == layouts[2]
+    # about 2**18 words per chunk; chunk ci reads block ci of the stream
+    assert harness._chunks(5000, 100) == [(0, 2621), (1, 2379)]
+    firsts = {int(stream_words(3, ci, 1)[0]) for ci in (0, 1)}
+    assert {w for w, _, _ in layouts[0]} == firsts
 
 
 def test_simulation_deterministic():
