@@ -23,7 +23,7 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from .distribution import MdtParams, log_survival, survival
+from .distribution import MdtParams, survival
 from .errors import DomainError
 from .fenchel import GeneratingFunction, fenchel
 from .moments import (DELTA_P, default_p_grid, moment_from_tail, theta,
@@ -36,16 +36,16 @@ _EE = math.e ** math.e
 ROSENTHAL_C0 = 2.0
 
 
-def rosenthal_constant(p: float, c0: float = ROSENTHAL_C0) -> float:
-    """(c0 * p / ln(max(p, 2)))**p, the known growth order of optimal
-    Rosenthal constants."""
+def rosenthal_constant(p: float) -> float:
+    """(ROSENTHAL_C0 * p / ln(max(p, 2)))**p, the known growth order of
+    optimal Rosenthal constants."""
     if p < 2:
         raise DomainError("rosenthal_constant requires p >= 2")
-    return (c0 * p / math.log(max(p, 2.0))) ** p
+    return (ROSENTHAL_C0 * p / math.log(max(p, 2.0))) ** p
 
 
 def rosenthal_sum_moment(params: MdtParams, p: float, moment2: float,
-                         momentp: float, c0: float = ROSENTHAL_C0) -> float:
+                         momentp: float) -> float:
     """Bound on sup_n E|S_n|**p from the variance and p-th moment terms.
 
     The n**(1 - p/2) factor of the raw inequality is <= 1 for p >= 2, so
@@ -55,7 +55,7 @@ def rosenthal_sum_moment(params: MdtParams, p: float, moment2: float,
         raise DomainError(f"p must lie in [2, beta - {DELTA_P}], got {p}")
     if moment2 <= 0 or momentp <= 0:
         raise DomainError("moments must be positive")
-    return rosenthal_constant(p, c0) * max(moment2 ** (p / 2.0), momentp)
+    return rosenthal_constant(p) * max(moment2 ** (p / 2.0), momentp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,35 +68,40 @@ class SumMomentEnvelope:
     envelope: np.ndarray
 
     @classmethod
-    def compute(cls, params: MdtParams, p_grid=None,
-                c0: float = ROSENTHAL_C0) -> "SumMomentEnvelope":
+    def compute(cls, params: MdtParams, p_grid=None) -> "SumMomentEnvelope":
         if p_grid is None:
             p_grid = default_p_grid(params, n=17)
         p_grid = np.asarray(p_grid, dtype=float)
         m2 = moment_from_tail(params, 2.0)
         singles = np.array([moment_from_tail(params, p) for p in p_grid])
-        env = np.array([rosenthal_sum_moment(params, p, m2, m, c0)
+        env = np.array([rosenthal_sum_moment(params, p, m2, m)
                         for p, m in zip(p_grid, singles)])
         return cls(params=params, p_grid=p_grid, single_moments=singles, envelope=env)
 
 
 @lru_cache(maxsize=64)
-def c1_pessimistic(params: MdtParams, c0: float = ROSENTHAL_C0) -> float:
+def c1_pessimistic(params: MdtParams) -> float:
     """Analytic constant for sup_n E|S_n|**p <= C1 * theta(p).
 
     Max over a p-grid of the Rosenthal bound divided by the floored
     envelope; finite because p stays in the bounded interval [2, beta).
     """
-    env = SumMomentEnvelope.compute(params, c0=c0)
+    env = SumMomentEnvelope.compute(params)
     thetas = theta(params, env.p_grid)
     return float(np.max(env.envelope / thetas))
+
+
+def closed_u_min(params: MdtParams) -> float:
+    """Left end of the closed-form domain: e**e in regime B, where the
+    shape carries ln ln u, else e."""
+    return _EE if theta_regime(params.gamma) == "B" else _E
 
 
 def closed_shape(params: MdtParams, u):
     """The constant-free closed-form shape per regime (un-clamped)."""
     u_arr = np.asarray(u, dtype=float)
     regime = theta_regime(params.gamma)
-    u_min = _EE if regime == "B" else _E
+    u_min = closed_u_min(params)
     if np.any(u_arr < u_min * (1 - 1e-12)):
         raise DomainError(f"closed-form bound requires u >= {u_min:g} in regime {regime}")
     if regime == "C" and not limit_at_infinity_is_zero(params.v):
@@ -197,7 +202,7 @@ def closed_curve(params: MdtParams, c: Optional[float] = None,
     return TailCurve(
         fn=lambda u: q_bound_closed(params, u, c=c_val),
         provenance=f"closed-form-ex{'1' if regime == 'A' else '2' if regime == 'B' else '3'}",
-        u_min=_EE if regime == "B" else _E, kind="upper",
+        u_min=closed_u_min(params), kind="upper",
         constants={"c": c_val, "mode": mode})
 
 

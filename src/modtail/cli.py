@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .bounds import (c1_pessimistic, calibrate_closed_constant, closed_curve,
+from .bounds import (calibrate_closed_constant, closed_curve,
                      fenchel_curve_bound, witness_curve)
 from .config import RunConfig
 from .distribution import quantile
@@ -24,7 +24,7 @@ from .entropy import (MetricEntropyModel, check_entropy_condition,
                       entropy_integral, finite_net_union_bound)
 from .errors import ConfigError, DomainError, NumericError
 from .fenchel import FenchelCurve, GeneratingFunction
-from .harness import certify, confidence_radius, make_plan, simulate, simulate_field
+from .harness import certify, confidence_radius, make_plan, simulate
 from .moments import MomentCurve, default_p_grid
 
 EXIT_OK = 0
@@ -34,7 +34,8 @@ EXIT_NUMERIC = 3
 
 
 def _u_grid(cfg: RunConfig, params):
-    u_min, u_max, points = cfg.u_range()
+    plan = cfg.raw["plan"]
+    u_min, u_max, points = plan["u_min"], plan["u_max"], plan["u_points"]
     lo = params.u_star if u_min is None else max(u_min, params.u_star)
     hi = quantile(params, 1e-4) if u_max is None else u_max
     return np.geomspace(lo, hi, points)
@@ -56,12 +57,8 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _constants(cfg: RunConfig):
-    return cfg.raw["bounds"]
-
-
 def _curves(cfg: RunConfig, params, c_override=None):
-    b = _constants(cfg)
+    b = cfg.raw["bounds"]
     mode = b["mode"]
     c = c_override if c_override is not None else b["c1"]
     return [closed_curve(params, c=c, mode=mode),
@@ -100,7 +97,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
 
 def cmd_certify(cfg: RunConfig, out: Path) -> int:
     params = cfg.params()
-    bounds_cfg = _constants(cfg)
+    bounds_cfg = cfg.raw["bounds"]
     c_override = bounds_cfg["c1"]
     plan = _plan(cfg, params)
     if bounds_cfg["mode"] == "calibrated" and c_override is None:
@@ -122,7 +119,7 @@ def cmd_certify(cfg: RunConfig, out: Path) -> int:
 def cmd_confidence(cfg: RunConfig, out: Path) -> int:
     params = cfg.params()
     conf = cfg.raw["confidence"]
-    c = _constants(cfg)["c1"]
+    c = cfg.raw["bounds"]["c1"]
     res = confidence_radius(params, n=conf["n"], delta=conf["delta"], c=c)
     payload = {"version": __version__, "config_hash": cfg.digest(),
                "n": res.n, "delta": res.delta, "attained": res.attained,
@@ -139,8 +136,7 @@ def cmd_entropy(cfg: RunConfig, out: Path) -> int:
     params = cfg.params()
     ent = cfg.raw["entropy"]
     model = MetricEntropyModel.from_holder(d=ent["d"], alpha=ent["alpha"],
-                                           diameter=ent["C5"], c10=ent["C10"],
-                                           c9=ent["C9"])
+                                           diameter=ent["C5"], c10=ent["C10"])
     ok = check_entropy_condition(ent["d"], ent["alpha"], params.beta, params.gamma)
     integral = entropy_integral(model, params.beta, params.gamma)
     field = cfg.field_model()

@@ -1,17 +1,18 @@
 """Run configuration: YAML schema, validation, object construction.
 
 The config is a key-tree with sections law / bounds / plan / confidence /
-entropy / output.  Unknown keys anywhere are rejected.  Every emitted
-file carries the config hash so runs are traceable.
+entropy / output, declared once in ``_TABLE``.  Unknown keys, wrong
+types and values outside a key's allowed set are rejected.  Every
+emitted file carries the config hash so runs are traceable.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, NamedTuple, Optional
 
 import yaml
 
@@ -20,65 +21,82 @@ from .entropy import FieldModel
 from .errors import ConfigError
 from .slowvary import parse_sv
 
-_SCHEMA = {
-    "law": {"beta": (int, float), "gamma": (int, float), "V": str,
-            "u_star": (int, float, type(None))},
-    "bounds": {"mode": str, "c1": (int, float, type(None)),
-               "c2": (int, float, type(None)), "c3": (int, float, type(None)),
-               "rosenthal_c0": (int, float),
-               "calibration_slack_dkw": (int, float)},
-    "plan": {"n_grid": list, "reps": int, "seed": int, "u_points": int,
-             "u_min": (int, float, type(None)), "u_max": (int, float, type(None)),
-             "dkw_delta": (int, float), "budget": int, "threads": int},
-    "confidence": {"delta": (int, float), "n": int},
-    "entropy": {"d": int, "alpha": (int, float), "C5": (int, float),
-                "C9": (int, float), "C10": (int, float), "J": int,
-                "weights": list, "M": int},
-    "output": {"dir": str, "formats": list},
+
+class _Key(NamedTuple):
+    types: tuple            # accepted types of the value, matched exactly
+    default: object
+    items: tuple = ()       # accepted types of each element of a list value
+    choices: tuple = ()     # the allowed values, when the set is closed
+
+
+_NUM = (int, float)
+_OPT_NUM = (int, float, type(None))
+
+_TABLE = {
+    "law.beta": _Key(_NUM, 4.0),
+    "law.gamma": _Key(_NUM, 0.0),
+    "law.V": _Key((str,), "c(1)"),
+    "law.u_star": _Key(_OPT_NUM, None),
+    "bounds.mode": _Key((str,), "pessimistic",
+                        choices=("pessimistic", "calibrated")),
+    "bounds.c1": _Key(_OPT_NUM, None),
+    "bounds.calibration_slack_dkw": _Key(_NUM, 2.0),
+    "plan.n_grid": _Key((list,), [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024],
+                        items=(int,)),
+    "plan.reps": _Key((int,), 100000),
+    "plan.seed": _Key((int,), 1),
+    "plan.u_points": _Key((int,), 64),
+    "plan.u_min": _Key(_OPT_NUM, None),
+    "plan.u_max": _Key(_OPT_NUM, None),
+    "plan.dkw_delta": _Key(_NUM, 1e-3),
+    "plan.budget": _Key((int,), 10 ** 9),
+    "plan.threads": _Key((int,), 1),
+    "confidence.delta": _Key(_NUM, 1e-3),
+    "confidence.n": _Key((int,), 10000),
+    "entropy.d": _Key((int,), 1),
+    "entropy.alpha": _Key(_NUM, 1.0),
+    "entropy.C5": _Key(_NUM, 1.0),
+    "entropy.C10": _Key(_NUM, 1.0),
+    "entropy.weights": _Key((list,), [1.0, 0.5, 0.25], items=_NUM),
+    "entropy.M": _Key((int,), 64),
+    "output.dir": _Key((str,), "out"),
 }
 
-_DEFAULTS = {
-    "law": {"beta": 4.0, "gamma": 0.0, "V": "c(1)", "u_star": None},
-    "bounds": {"mode": "pessimistic", "c1": None, "c2": None, "c3": None,
-               "rosenthal_c0": 2.0, "calibration_slack_dkw": 2.0},
-    "plan": {"n_grid": [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024],
-             "reps": 100000, "seed": 1, "u_points": 64, "u_min": None,
-             "u_max": None, "dkw_delta": 1e-3, "budget": 10 ** 9, "threads": 1},
-    "confidence": {"delta": 1e-3, "n": 10000},
-    "entropy": {"d": 1, "alpha": 1.0, "C5": 1.0, "C9": 1.0, "C10": 1.0,
-                "J": 3, "weights": [1.0, 0.5, 0.25], "M": 64},
-    "output": {"dir": "out", "formats": ["csv", "json"]},
-}
+
+def _check(name: str, val) -> None:
+    key = _TABLE.get(name)
+    if key is None:
+        raise ConfigError(f"unknown config key '{name}'")
+    # exact matches, so a YAML bool (an int subclass) is never a number
+    if type(val) not in key.types:
+        raise ConfigError(f"config key '{name}' has wrong type {type(val).__name__}")
+    if key.items and any(type(x) not in key.items for x in val):
+        raise ConfigError(f"config key '{name}' has an element of wrong type: {val!r}")
+    if key.choices and val not in key.choices:
+        raise ConfigError(
+            f"config key '{name}' must be one of {', '.join(key.choices)}; got {val!r}")
 
 
-def _validate(tree: Dict, schema: Dict, path: str = "") -> None:
+def _validate(tree) -> None:
     if not isinstance(tree, dict):
-        raise ConfigError(f"section '{path or '<root>'}' must be a mapping")
-    for key, val in tree.items():
-        here = f"{path}.{key}" if path else key
-        if key not in schema:
-            raise ConfigError(f"unknown config key '{here}'")
-        expected = schema[key]
-        if isinstance(expected, dict):
-            _validate(val, expected, here)
-        else:
-            if isinstance(val, bool) and bool not in (expected if isinstance(expected, tuple) else (expected,)):
-                raise ConfigError(f"config key '{here}' has wrong type bool")
-            if not isinstance(val, expected):
-                raise ConfigError(
-                    f"config key '{here}' has wrong type {type(val).__name__}")
+        raise ConfigError("section '<root>' must be a mapping")
+    sections = {name.split(".")[0] for name in _TABLE}
+    for section, body in tree.items():
+        if section not in sections:
+            raise ConfigError(f"unknown config key '{section}'")
+        if not isinstance(body, dict):
+            raise ConfigError(f"section '{section}' must be a mapping")
+        for key, val in body.items():
+            _check(f"{section}.{key}", val)
 
 
-def _merge(defaults: Dict, given: Dict) -> Dict:
-    out = {}
-    for key, dval in defaults.items():
-        if isinstance(dval, dict):
-            out[key] = _merge(dval, given.get(key, {}) or {})
-        elif key in given:
-            out[key] = given[key]
-        else:
-            out[key] = dval
-    return out
+def _fill(given: Dict) -> Dict:
+    raw: Dict = {}
+    for name, key in _TABLE.items():
+        section, leaf = name.split(".")
+        val = given.get(section, {}).get(leaf, key.default)
+        raw.setdefault(section, {})[leaf] = copy.deepcopy(val)
+    return raw
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,9 +115,8 @@ class RunConfig:
                 raise ConfigError(f"config file not found: {path}") from exc
             except yaml.YAMLError as exc:
                 raise ConfigError(f"cannot parse config {path}: {exc}") from exc
-        _validate(given, _SCHEMA)
-        merged = _merge(_DEFAULTS, given)
-        cfg = cls(raw=merged)
+        _validate(given)
+        cfg = cls(raw=_fill(given))
         cfg.params()  # fail early on bad law parameters
         return cfg
 
@@ -135,14 +152,7 @@ class RunConfig:
     def field_model(self) -> FieldModel:
         ent = self.raw["entropy"]
         weights = tuple(float(w) for w in ent["weights"])
-        if len(weights) != ent["J"]:
-            raise ConfigError(
-                f"entropy.weights has {len(weights)} entries but entropy.J={ent['J']}")
         return FieldModel(params=self.params(), weights=weights, resolution=ent["M"])
-
-    def u_range(self) -> Tuple[Optional[float], Optional[float], int]:
-        plan = self.raw["plan"]
-        return plan["u_min"], plan["u_max"], plan["u_points"]
 
     def header_lines(self) -> str:
         law = self.raw["law"]

@@ -36,7 +36,6 @@ _E = math.e
 class HolderParams:
     d: int
     alpha: float
-    c9: float = 1.0
     c10: float = 1.0
 
     def __post_init__(self):
@@ -44,8 +43,8 @@ class HolderParams:
             raise DomainError("dimension d must be >= 1")
         if not (0 < self.alpha <= 1):
             raise DomainError("alpha must lie in (0, 1]")
-        if self.c9 <= 0 or self.c10 <= 0:
-            raise DomainError("Hoelder constants must be positive")
+        if self.c10 <= 0:
+            raise DomainError("Hoelder constant c10 must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,8 +61,8 @@ class MetricEntropyModel:
 
     @classmethod
     def from_holder(cls, d: int, alpha: float, diameter: float = 1.0,
-                    c10: float = 1.0, c9: float = 1.0) -> "MetricEntropyModel":
-        hp = HolderParams(d=d, alpha=alpha, c9=c9, c10=c10)
+                    c10: float = 1.0) -> "MetricEntropyModel":
+        hp = HolderParams(d=d, alpha=alpha, c10=c10)
 
         def covering(eps):
             return c10 * np.asarray(eps, dtype=float) ** (-d / alpha)

@@ -61,7 +61,7 @@ class GeneratingFunction:
 
     @classmethod
     def from_grid(cls, p_grid: Sequence[float], values: Sequence[float],
-                  b: float, provenance: str = "custom-grid") -> "GeneratingFunction":
+                  b: float) -> "GeneratingFunction":
         """Log-linear interpolation through (p, psi) grid points."""
         p_grid = np.asarray(p_grid, dtype=float)
         logv = np.log(np.asarray(values, dtype=float))
@@ -69,18 +69,7 @@ class GeneratingFunction:
         def fn(p):
             return np.exp(np.interp(p, p_grid, logv))
 
-        return cls(b=b, fn=fn, provenance=provenance)
-
-    @classmethod
-    def from_samples(cls, values: np.ndarray, b: float,
-                     p_grid: Optional[Sequence[float]] = None) -> "GeneratingFunction":
-        """Empirical natural function: p-th sample moments to the 1/p."""
-        values = np.abs(np.asarray(values, dtype=float))
-        if p_grid is None:
-            p_grid = np.linspace(2.0, b - DELTA_P, 48)
-        p_grid = np.asarray(p_grid, dtype=float)
-        psis = np.array([np.mean(values ** p) ** (1.0 / p) for p in p_grid])
-        return cls.from_grid(p_grid, psis, b=b, provenance="empirical")
+        return cls(b=b, fn=fn)
 
 
 def _objective(psi: GeneratingFunction, y: float):

@@ -21,15 +21,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bounds import TailCurve, q_bound_closed, theta_regime
+from .bounds import TailCurve, c1_pessimistic, closed_u_min, q_bound_closed
 from .distribution import (STREAM_BLOCK, MdtParams, quantile, sign_by_words,
                            stream_words, word_uniforms)
 from .entropy import FieldModel
 from .errors import DomainError, NumericError
 from ._version import __version__ as _version
-
-_E = math.e
-_EE = math.e ** math.e
 
 DEFAULT_N_GRID = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 DEFAULT_BUDGET = 10 ** 9
@@ -54,7 +51,8 @@ class SimulationPlan:
     threads: int = 1
 
     def __post_init__(self):
-        if list(self.n_grid) != sorted(set(self.n_grid)) or min(self.n_grid) < 1:
+        if (not self.n_grid or list(self.n_grid) != sorted(set(self.n_grid))
+                or self.n_grid[0] < 1):
             raise DomainError("n_grid must be strictly increasing positive ints")
         if self.reps < 1000:
             raise DomainError("reps must be >= 1000")
@@ -68,11 +66,10 @@ class SimulationPlan:
                 "u_grid": [float(u) for u in self.u_grid]}
 
 
-def default_u_grid(params: MdtParams, points: int = 64,
-                   q_top: float = 1e-4) -> np.ndarray:
-    """Geometric grid from u_star to the q_top quantile of the single-draw
-    envelope, so the highest cell still expects reps * q_top exceedances."""
-    return np.geomspace(params.u_star, quantile(params, q_top), points)
+def default_u_grid(params: MdtParams, points: int = 64) -> np.ndarray:
+    """Geometric grid from u_star to the 1e-4 quantile of the single-draw
+    envelope, so the highest cell still expects reps * 1e-4 exceedances."""
+    return np.geomspace(params.u_star, quantile(params, 1e-4), points)
 
 
 def make_plan(params: MdtParams, seed: int,
@@ -273,13 +270,13 @@ class CertificationResult:
             fh.write("\n")
 
 
-def certify(report: EmpiricalTailReport, curves: Sequence[TailCurve],
-            upper_slack: float = 0.0) -> CertificationResult:
+def certify(report: EmpiricalTailReport,
+            curves: Sequence[TailCurve]) -> CertificationResult:
     """Check Qhat against each curve with the report's DKW envelope.
 
-    Upper bounds must satisfy Qhat - dkw <= curve(u) + upper_slack; the
-    lower witness must satisfy Qhat + dkw >= curve(u).  Cells below a
-    curve's domain are skipped.
+    Upper bounds must satisfy Qhat - dkw <= curve(u); the lower witness
+    must satisfy Qhat + dkw >= curve(u).  Cells below a curve's domain
+    are skipped.
     """
     u = report.u_grid
     qhat = report.qhat
@@ -289,7 +286,7 @@ def certify(report: EmpiricalTailReport, curves: Sequence[TailCurve],
         mask = u >= curve.u_min * (1 - 1e-12)
         vals = curve.evaluate(u[mask])
         if curve.is_upper_bound():
-            bad = (qhat[mask] - dkw) > vals + upper_slack
+            bad = (qhat[mask] - dkw) > vals
         else:
             bad = (qhat[mask] + dkw) < vals
         verdicts.append(CurveVerdict(
@@ -335,24 +332,23 @@ class ConfidenceRadius:
 
 
 def confidence_radius(params: MdtParams, n: int, delta: float,
-                      c: Optional[float] = None,
-                      search_decades: float = 8.0) -> ConfidenceRadius:
+                      c: Optional[float] = None) -> ConfidenceRadius:
     """Smallest u with q_bound_closed(params, sqrt(n) u) <= delta.
 
     The sample mean a_n of n evaluations deviates from its target by
     S_n / sqrt(n), so P(|a_n - a| > u) <= Q(sqrt(n) u) and the returned
-    radius certifies coverage 1 - delta.
+    radius certifies coverage 1 - delta.  The search spans eight decades
+    of sqrt(n) u from the closed-form domain; past them the radius is not
+    attained.
     """
     if n < 1:
         raise DomainError("sample size must be >= 1")
     if not (0 < delta <= 1):
         raise DomainError("delta must lie in (0, 1]")
-    from .bounds import c1_pessimistic
     c_val = c1_pessimistic(params) if c is None else float(c)
-    regime = theta_regime(params.gamma)
-    v_min = max(_EE if regime == "B" else _E, params.u_star)
+    v_min = max(closed_u_min(params), params.u_star)
     sqn = math.sqrt(n)
-    v_grid = np.geomspace(v_min, v_min * 10.0 ** search_decades, 4096)
+    v_grid = np.geomspace(v_min, v_min * 1e8, 4096)
     bounds = q_bound_closed(params, v_grid, c=c_val)
     ok = bounds <= delta
     rng = (v_min / sqn, float(v_grid[-1] / sqn))

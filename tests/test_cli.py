@@ -1,9 +1,13 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+import yaml
 
 from modtail import distribution
 from modtail.cli import main
+from modtail.config import RunConfig
 
 FAST_PLAN = """
 plan:
@@ -155,3 +159,93 @@ def test_numeric_error_prints_diagnostics(tmp_path, cfg, capsys, monkeypatch):
     assert "  law: beta=4 gamma=0 V=c(1)" in err
     for line in ("  seed: 9", "  n: 4", "  chunk: 0", "  q: ", "  max_abs_err: "):
         assert line in err
+
+
+@pytest.mark.parametrize("command, key, value, code", [
+    ("simulate", "plan.n_grid", ["a"], 2),
+    ("simulate", "plan.n_grid", [1, 2.5], 2),
+    ("entropy", "entropy.weights", [1.0, "a"], 2),
+    ("simulate", "plan.n_grid", [], 3),
+])
+def test_malformed_list_values(tmp_path, capsys, command, key, value, code):
+    section, name = key.split(".")
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump({section: {name: value}}))
+    assert run([command, "--config", str(path), "--out", str(tmp_path / "o")]) == code
+    assert name in capsys.readouterr().err
+
+
+def test_bounds_mode_must_be_known(tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_text(FAST_PLAN + "bounds:\n  mode: bogus\n")
+    assert run(["certify", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "bogus" in err and "pessimistic, calibrated" in err
+
+
+SMALL_PLAN = {"plan": {"n_grid": [1, 2, 4], "reps": 1000, "u_points": 8,
+                       "u_max": 40.0}}
+
+# key -> (cheapest command that reads it, a non-default value, other keys
+# the value needs in order to take effect)
+READERS = {
+    "law.beta": ("simulate", 3.5, {}),
+    "law.gamma": ("simulate", 1.0, {}),
+    "law.V": ("simulate", "lp(1)", {}),
+    "law.u_star": ("simulate", 4.0, {}),
+    "bounds.mode": ("certify", "calibrated", {}),
+    "bounds.c1": ("confidence", 0.5, {}),
+    "bounds.calibration_slack_dkw": ("certify", 4.0,
+                                     {"bounds.mode": "calibrated"}),
+    "plan.n_grid": ("simulate", [1, 2, 8], {}),
+    "plan.reps": ("simulate", 1200, {}),
+    "plan.seed": ("simulate", 2, {}),
+    "plan.u_points": ("simulate", 9, {}),
+    "plan.u_min": ("simulate", 5.0, {}),
+    "plan.u_max": ("simulate", 30.0, {}),
+    "plan.dkw_delta": ("simulate", 0.01, {}),
+    "confidence.delta": ("confidence", 0.01, {}),
+    "confidence.n": ("confidence", 500, {}),
+    "entropy.d": ("entropy", 2, {}),
+    "entropy.alpha": ("entropy", 0.5, {}),
+    "entropy.C5": ("entropy", 2.0, {}),
+    "entropy.C10": ("entropy", 2.0, {}),
+    # the field's union bound is clamped at 1 below u ~ 1e3
+    "entropy.weights": ("entropy", [1.0, 0.25], {"plan.u_max": 1e4}),
+    "entropy.M": ("entropy", 32, {"plan.u_max": 1e4}),
+}
+EXEMPT = {
+    "plan.threads": "scheduling only: results must not depend on it",
+    "plan.budget": "scheduling only: a guard on the draw count",
+    "output.dir": "deployment path",
+}
+
+
+def _outputs(tmp_path, command, settings):
+    tree = json.loads(json.dumps(SMALL_PLAN))
+    for name, value in settings.items():
+        section, key = name.split(".")
+        tree.setdefault(section, {})[key] = value
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    (work / "config.yaml").write_text(yaml.safe_dump(tree))
+    run([command, "--config", str(work / "config.yaml"), "--out", str(work / "out")])
+    return {p.name: [line for line in p.read_text().splitlines()
+                     if "config_hash" not in line]
+            for p in sorted((work / "out").iterdir())}
+
+
+def test_every_config_key_is_live_or_rejected(tmp_path):
+    """A key no command reads must be deleted from the table (unknown keys
+    are rejected); every other key changes some output file in a line
+    other than the config hash."""
+    table = RunConfig.load(None).raw
+    keys = {f"{section}.{key}" for section, body in table.items() for key in body}
+    assert not set(EXEMPT) - keys
+    dead = sorted(keys - set(READERS) - set(EXEMPT))
+    for name, (command, value, context) in READERS.items():
+        section, key = name.split(".")
+        assert value != table[section][key], name
+        if _outputs(tmp_path, command, context) == \
+                _outputs(tmp_path, command, {**context, name: value}):
+            dead.append(name)
+    assert not dead, f"config keys that change no output: {dead}"
