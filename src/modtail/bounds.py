@@ -141,15 +141,11 @@ def q_bound_fenchel(params: MdtParams, u, c1: Optional[float] = None):
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
     if np.any(u_arr < _E * (1 - 1e-12)):
         raise DomainError("q_bound_fenchel requires u >= e")
-    out = np.empty_like(u_arr)
-    for i, ui in enumerate(u_arr):
-        pt = fenchel(psi, math.log(ui))
-        c_shift = c1 ** (1.0 / pt.argmax)
-        y_shift = math.log(ui / c_shift)
-        if y_shift < 1.0:
-            out[i] = 1.0
-            continue
-        out[i] = np.clip(math.exp(-fenchel(psi, y_shift).value), 0.0, 1.0)
+    p_star = fenchel(psi, np.log(u_arr)).argmax
+    y_shift = np.log(u_arr / c1 ** (1.0 / p_star))
+    out = np.ones_like(u_arr)
+    live = y_shift >= 1.0
+    out[live] = np.clip(np.exp(-fenchel(psi, y_shift[live]).value), 0.0, 1.0)
     return float(out[0]) if np.ndim(u) == 0 else out
 
 

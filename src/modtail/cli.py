@@ -59,8 +59,9 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _curves(cfg: RunConfig, params, c_override=None):
     b = cfg.raw["bounds"]
-    mode = b["mode"]
     c = c_override if c_override is not None else b["c1"]
+    # with no given or calibrated constant the Rosenthal chain supplies it
+    mode = b["mode"] if c is not None else "pessimistic"
     return [closed_curve(params, c=c, mode=mode),
             fenchel_curve_bound(params, c1=c, mode=mode),
             witness_curve(params)]

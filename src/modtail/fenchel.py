@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -72,10 +72,8 @@ class GeneratingFunction:
         return cls(b=b, fn=fn)
 
 
-def _objective(psi: GeneratingFunction, y: float):
-    def g(p):
-        return p * (y - np.log(psi(p)))
-    return g
+def _objective(psi: GeneratingFunction, p, y):
+    return p * (y - np.log(psi(p)))
 
 
 def _refine_grid(psi: GeneratingFunction, n: int = 256) -> np.ndarray:
@@ -90,55 +88,74 @@ def _refine_grid(psi: GeneratingFunction, n: int = 256) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FenchelPoint:
-    value: float
-    argmax: float
+    """The transform and its argmax: floats for a scalar y, else arrays
+    of y's shape."""
+
+    value: Union[float, np.ndarray]
+    argmax: Union[float, np.ndarray]
 
 
-def _golden(g, a: float, b: float) -> float:
+def _refine_brackets(psi: GeneratingFunction, y: np.ndarray, a: np.ndarray,
+                     b: np.ndarray) -> np.ndarray:
+    """Golden-section maxima of the objective on the brackets [a, b], all
+    at once; a bracket narrower than 1e-10 is frozen while the others
+    shrink."""
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    gc, gd = g(c), g(d)
-    while b - a > 1e-10:
-        if gc >= gd:
-            b, d, gd = d, c, gc
-            c = b - _INVPHI * (b - a)
-            gc = g(c)
-        else:
-            a, c, gc = c, d, gd
-            d = a + _INVPHI * (b - a)
-            gd = g(d)
+    gc, gd = _objective(psi, c, y), _objective(psi, d, y)
+    live = b - a > 1e-10
+    while live.any():
+        left = gc >= gd          # the maximum lies in [a, d]
+        a, b = np.where(live & ~left, c, a), np.where(live & left, d, b)
+        c, d = (np.where(left, b - _INVPHI * (b - a), d),
+                np.where(left, c, a + _INVPHI * (b - a)))
+        g_new = _objective(psi, np.where(left, c, d), y)
+        gc, gd = np.where(left, g_new, gd), np.where(left, gc, g_new)
+        live = b - a > 1e-10
     return 0.5 * (a + b)
 
 
-def fenchel(psi: GeneratingFunction, y: float,
-            grid: Optional[np.ndarray] = None) -> FenchelPoint:
-    """sup_p [p y - p ln psi(p)] over [2, b - delta].
+def fenchel(psi: GeneratingFunction, y) -> FenchelPoint:
+    """sup_p [p y - p ln psi(p)] over [2, b - delta], for a scalar y or an
+    array of y.
 
-    Grid scan followed by golden-section refinement (1e-10 in p) of the
-    bracket around every local maximum; interpolated generating functions
-    can make the objective multimodal, so refining only the best cell is
-    not enough.
+    One grid scan of every y, followed by golden-section refinement (1e-10
+    in p) of the bracket around every grid local maximum of every y (both
+    ends and the grid argmax included), all brackets together;
+    interpolated generating functions can make the objective multimodal,
+    so refining only the best cell is not enough.  A refined point
+    replaces the grid best only when its value is larger.  A scalar y
+    gives a FenchelPoint of floats, an array y one of arrays of its shape.
     """
-    if not np.isfinite(y):
+    y_arr = np.asarray(y, dtype=float)
+    if not np.all(np.isfinite(y_arr)):
         raise DomainError("fenchel requires finite y")
-    g = _objective(psi, y)
-    ps = _refine_grid(psi) if grid is None else grid
-    vals = np.asarray(g(ps), dtype=float)
-    interior = np.nonzero((vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:]))[0] + 1
-    candidates = set(int(i) for i in interior)
-    candidates.update((0, ps.size - 1, int(np.argmax(vals))))
-    best_val = float(vals.max())
-    best_arg = float(ps[int(np.argmax(vals))])
-    for i in sorted(candidates):
-        a = float(ps[max(i - 1, 0)])
-        b = float(ps[min(i + 1, ps.size - 1)])
-        if b <= a:
-            continue
-        p_opt = _golden(g, a, b)
-        val = float(g(p_opt))
-        if val > best_val:
-            best_val, best_arg = val, float(p_opt)
-    return FenchelPoint(value=best_val, argmax=best_arg)
+    ys = y_arr.reshape(-1)
+    ps = _refine_grid(psi)
+    vals = _objective(psi, ps, ys[:, None])
+    rows = np.arange(ys.size)
+    best = np.argmax(vals, axis=1)
+    best_val, best_arg = vals[rows, best], ps[best]
+    cand = np.zeros(vals.shape, dtype=bool)
+    cand[:, 1:-1] = (vals[:, 1:-1] >= vals[:, :-2]) & (vals[:, 1:-1] >= vals[:, 2:])
+    cand[:, [0, -1]] = True
+    cand[rows, best] = True
+    r, i = np.nonzero(cand)
+    p_opt = _refine_brackets(psi, ys[r], ps[np.maximum(i - 1, 0)],
+                             ps[np.minimum(i + 1, ps.size - 1)])
+    # per y, the first candidate (in p order) with the largest value
+    refined = np.full(vals.shape, -np.inf)
+    refined[r, i] = _objective(psi, p_opt, ys[r])
+    at = np.zeros(vals.shape)
+    at[r, i] = p_opt
+    j = np.argmax(refined, axis=1)
+    better = refined[rows, j] > best_val
+    best_val = np.where(better, refined[rows, j], best_val)
+    best_arg = np.where(better, at[rows, j], best_arg)
+    if y_arr.ndim == 0:
+        return FenchelPoint(value=float(best_val[0]), argmax=float(best_arg[0]))
+    return FenchelPoint(value=best_val.reshape(y_arr.shape),
+                        argmax=best_arg.reshape(y_arr.shape))
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,11 +170,8 @@ class FenchelCurve:
     @classmethod
     def compute(cls, psi: GeneratingFunction, y_grid: Sequence[float]) -> "FenchelCurve":
         y_grid = np.asarray(y_grid, dtype=float)
-        grid = _refine_grid(psi)
-        pts = [fenchel(psi, y, grid=grid) for y in y_grid]
-        return cls(psi=psi, y_grid=y_grid,
-                   values=np.array([pt.value for pt in pts]),
-                   p_star=np.array([pt.argmax for pt in pts]))
+        pt = fenchel(psi, y_grid)
+        return cls(psi=psi, y_grid=y_grid, values=pt.value, p_star=pt.argmax)
 
     def to_csv(self, path, header_extra: str = "") -> None:
         rows = np.column_stack([self.y_grid, self.values, self.p_star])

@@ -14,7 +14,8 @@ from modtail.distribution import make_mdt, sample, survival
 from modtail.errors import DomainError
 from modtail.fenchel import GeneratingFunction, tail_from_gls
 from modtail.moments import moment_from_tail
-from modtail.slowvary import LogPower
+from modtail.harness import default_u_grid
+from modtail.slowvary import LogPower, parse_sv
 
 E = math.e
 EE = math.e ** math.e
@@ -86,6 +87,21 @@ def test_q_bound_fenchel_clamped_monotone():
     q = q_bound_fenchel(params, u)
     assert np.all((0 <= q) & (q <= 1))
     assert np.all(np.diff(q) <= 1e-15)
+
+
+@pytest.mark.parametrize("law", [(4.0, 0.0, "c(1)"), (3.0, -1.0, "c(1)"),
+                                 (3.0, -2.0, "lp(-1)"), (2.5, 0.5, "ilp(2)")],
+                         ids=lambda law: "{:g},{:g},{}".format(*law))
+def test_q_bound_fenchel_batch_matches_pointwise(law):
+    # the argmax is fixed to about 1e-8 and enters c1 ** (1/p*), so the
+    # batch and the scalar calls agree to 1e-6, not to the last digit
+    beta, gamma, v = law
+    params = make_mdt(beta, gamma, parse_sv(v))
+    u = default_u_grid(params, 64)
+    u = u[u >= E * (1 - 1e-12)]
+    batch = q_bound_fenchel(params, u)
+    np.testing.assert_allclose(batch, [q_bound_fenchel(params, float(x)) for x in u],
+                               rtol=1e-6)
 
 
 def test_fenchel_tracks_closed_form():

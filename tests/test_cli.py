@@ -6,6 +6,8 @@ import pytest
 import yaml
 
 from modtail import distribution
+from modtail.bounds import c1_pessimistic
+from modtail.distribution import make_mdt
 from modtail.cli import main
 from modtail.config import RunConfig
 
@@ -36,6 +38,19 @@ def test_bound_command(tmp_path, cfg):
     assert "bound_closed-form-ex1.csv" in names
     assert "bound_fenchel-thm21.csv" in names
     assert "bound_lower-witness.csv" in names
+
+
+def test_bound_labels_chain_constant_pessimistic(tmp_path):
+    # only certify calibrates: without bounds.c1, bound writes the
+    # Rosenthal-chain constant and must say so whatever bounds.mode reads
+    path = tmp_path / "cal.yaml"
+    path.write_text(FAST_PLAN + "bounds:\n  mode: calibrated\n")
+    out = tmp_path / "out"
+    assert run(["bound", "--config", str(path), "--out", str(out)]) == 0
+    header = (out / "bound_closed-form-ex1.csv").read_text().splitlines()[1]
+    constants = json.loads(header.removeprefix("# constants="))
+    assert constants == {"c": c1_pessimistic(make_mdt(4.0, 0.0)),
+                         "mode": "pessimistic"}
 
 
 def test_simulate_command(tmp_path, cfg):

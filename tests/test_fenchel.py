@@ -8,7 +8,7 @@ from modtail.distribution import make_mdt, sample
 from modtail.errors import DomainError
 from modtail.fenchel import (FenchelCurve, GeneratingFunction, empirical_p_cap,
                              fenchel, gls_norm_empirical, gls_norm_from_moments,
-                             tail_from_gls)
+                             _refine_grid, tail_from_gls)
 from modtail.moments import DELTA_P, MomentCurve, default_p_grid
 
 E = math.e
@@ -33,6 +33,8 @@ def test_fenchel_rejects_nonfinite():
     psi = GeneratingFunction.from_constant(1.0, b=3.0)
     with pytest.raises(DomainError):
         fenchel(psi, math.inf)
+    with pytest.raises(DomainError):
+        fenchel(psi, np.array([1.0, math.nan, 2.0]))
 
 
 def test_tail_from_gls_power_law():
@@ -74,6 +76,49 @@ def test_fenchel_matches_scipy_oracle(seed):
                               options={"xatol": 1e-12})
         best = max(-res.fun, -neg(2.0), -neg(psi.p_max))
         assert pt.value == pytest.approx(best, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("beta,gamma", [(4.0, 0.0), (3.0, -1.0), (2.5, 0.5)])
+def test_fenchel_batch_matches_pointwise(beta, gamma):
+    psi = GeneratingFunction.from_theta(make_mdt(beta, gamma))
+    ys = np.geomspace(0.5, 200.0, 48)
+    batch = fenchel(psi, ys)
+    assert batch.value.shape == batch.argmax.shape == ys.shape
+    single = [fenchel(psi, float(y)) for y in ys]
+    assert all(isinstance(pt.value, float) for pt in single)
+    np.testing.assert_allclose(batch.value, [pt.value for pt in single], rtol=1e-12)
+
+
+def test_fenchel_refines_every_local_maximum():
+    # ln psi is linear on [2, k] and on [k, 6], so the objective is a
+    # concave parabola on each piece: one hump peaks at p = 2.5, the other
+    # at p = 5.5, and the two peaks tie at y = 6.  Just below the tie the
+    # left hump is the global maximum while the grid, coarser there,
+    # ranks the right hump first.
+    k, s1 = 3.4375, 2.0
+    s2 = s1 * (2.5 / 5.5) ** 2
+    log_psi = [0.0, s1 * (k - 2.0), s1 * (k - 2.0) + s2 * (6.0 - k)]
+    psi = GeneratingFunction.from_grid([2.0, k, 6.0], np.exp(log_psi), b=6.0)
+    ys = np.concatenate([6.0 + np.linspace(-2e-4, 2e-4, 21), [5.0, 7.0]])
+    pt = fenchel(psi, ys)
+
+    def obj(p, y):
+        return p * (y - np.log(psi(p)))
+
+    grid = _refine_grid(psi)
+    misranked = 0
+    for y, value, argmax in zip(ys, pt.value, pt.argmax):
+        best_val, best_arg = -math.inf, None
+        for lo, hi in ((2.0, k), (k, psi.p_max)):
+            res = minimize_scalar(lambda p: -obj(p, y), bounds=(lo, hi),
+                                  method="bounded", options={"xatol": 1e-12})
+            for p in (lo, hi, res.x):
+                if obj(p, y) > best_val:
+                    best_val, best_arg = float(obj(p, y)), p
+        assert value == pytest.approx(best_val, rel=1e-12)
+        assert argmax == pytest.approx(best_arg, abs=1e-6)
+        misranked += abs(grid[np.argmax(obj(grid, y))] - best_arg) > 1.0
+    assert misranked > 0
 
 
 def test_fenchel_curve_convex_monotone():
