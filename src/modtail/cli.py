@@ -57,11 +57,12 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _curves(cfg: RunConfig, params, c_override=None):
-    b = cfg.raw["bounds"]
-    c = c_override if c_override is not None else b["c1"]
-    # with no given or calibrated constant the Rosenthal chain supplies it
-    mode = b["mode"] if c is not None else "pessimistic"
+def _curves(cfg: RunConfig, params, c_calibrated=None):
+    # a given bounds.c1 wins; with neither, the Rosenthal chain supplies c
+    given = cfg.raw["bounds"]["c1"]
+    c = given if given is not None else c_calibrated
+    mode = ("given" if given is not None else
+            "calibrated" if c is not None else "pessimistic")
     return [closed_curve(params, c=c, mode=mode),
             fenchel_curve_bound(params, c1=c, mode=mode),
             witness_curve(params)]
@@ -108,7 +109,7 @@ def cmd_certify(cfg: RunConfig, out: Path) -> int:
         slack = bounds_cfg["calibration_slack_dkw"] * ref.dkw
         c_override = calibrate_closed_constant(params, ref.u_grid, ref.qhat, slack)
     report = simulate(plan)
-    result = certify(report, _curves(cfg, params, c_override=c_override))
+    result = certify(report, _curves(cfg, params, c_calibrated=c_override))
     report.to_csv(out / "certification_report.csv", header_extra=_header(cfg))
     payload = {"version": __version__, "config_hash": cfg.digest(),
                "plan": report.plan.echo(), "constants": {"c1": c_override},

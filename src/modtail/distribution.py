@@ -18,8 +18,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import DomainError, NumericError
-from .slowvary import (ONE, Constant, SlowlyVarying, _eval, format_sv,
-                       sv_log_deriv)
+from .slowvary import ONE, Constant, SlowlyVarying, format_sv, sv_log
 
 _E = math.e
 
@@ -68,23 +67,17 @@ class MdtParams:
         return _InverseTable(self)
 
 
-def _log_tail_y(params: MdtParams, y):
-    """ln of the tail formula as a function of y = ln u, y >= 1.
-
-    Unvalidated (callers check y); a zero gamma or a Constant V costs no
-    pass over y.
-    """
-    out = -params.beta * y
+def _log_tail_y(params: MdtParams, y, slope: bool = False):
+    """ln of the tail formula at y = ln u >= 1, or with slope the pair
+    (ln tail, d/dy ln tail).  Unvalidated (callers check y)."""
+    lv = sv_log(params.v, y, deriv=slope)
+    out = (lv[0] if slope else lv) - params.beta * y
     if params.gamma:
-        out = out + params.gamma * np.log(y)
-    if isinstance(params.v, Constant):
-        return out + math.log(params.v.c)
-    return out + np.log(_eval(params.v, y))
-
-
-def _log_tail_slope_y(params: MdtParams, y):
-    """d/dy of the log tail formula."""
-    return -params.beta + params.gamma / np.asarray(y, dtype=float) + sv_log_deriv(params.v, y)
+        out += params.gamma * np.log(y)
+    if not slope:
+        return out
+    d = lv[1] - params.beta
+    return out, (d + params.gamma / y if params.gamma else d)
 
 
 def make_mdt(beta: float, gamma: float, v: SlowlyVarying = ONE,
@@ -106,8 +99,8 @@ def make_mdt(beta: float, gamma: float, v: SlowlyVarying = ONE,
 
 def _default_y_star(probe: MdtParams) -> float:
     ys = np.geomspace(1.0, 400.0, 4096)
-    slopes = _log_tail_slope_y(probe, ys)
-    pos = np.nonzero(slopes > 0)[0]
+    slopes = _log_tail_y(probe, ys, slope=True)[1]
+    pos = np.flatnonzero(slopes > 0)
     if pos.size == 0:
         y0 = 1.0
     else:
@@ -115,7 +108,7 @@ def _default_y_star(probe: MdtParams) -> float:
         if i + 1 >= ys.size:
             raise NumericError("tail formula still increasing at the scan edge",
                                {"y_max": float(ys[-1])})
-        y0 = brentq(lambda y: _log_tail_slope_y(probe, y), ys[i], ys[i + 1],
+        y0 = brentq(lambda y: _log_tail_y(probe, y, slope=True)[1], ys[i], ys[i + 1],
                     xtol=1e-12, rtol=1e-14)
     if _log_tail_y(probe, y0) <= 0:
         return max(1.0, y0)
@@ -134,18 +127,18 @@ def _validate_activation(params: MdtParams) -> None:
         raise DomainError(
             f"tail formula exceeds 1 at u_star={params.u_star:g}; pick a larger u_star")
     ys = np.geomspace(y_star, max(400.0, 4 * y_star), 2048)
-    if np.any(_log_tail_slope_y(params, ys) > 1e-9):
+    if np.any(_log_tail_y(params, ys, slope=True)[1] > 1e-9):
         raise DomainError(
             f"tail formula is not nonincreasing beyond u_star={params.u_star:g}")
 
 
 class _InverseTable:
     """Monotone table of (g, y) with g = -ln S(y): the start and bracket of
-    quantile's Newton loop for every law without a closed-form inverse.
+    quantile's Newton step for every law without a closed-form inverse.
 
     Node k sits at g = expm1(k / scale), so the node below a target is
     found by arithmetic instead of a search.  Each node's y is solved
-    once, by the Newton loop quantile uses, and its g is then recomputed
+    once, by the safeguarded Newton loop, and its g is then recomputed
     from that y, so every (g, y) pair is exact.
     """
 
@@ -176,12 +169,11 @@ class _InverseTable:
         self.hi = y[np.minimum(k + 2, y.size - 1)]
 
     def start(self, g: np.ndarray):
-        """Linear interpolation in the table at g, and a bracket of nodes."""
+        """The node index k below g, and linear interpolation at g."""
         t = np.log1p(g)
         t *= self.scale
         k = np.minimum(t.astype(np.intp), self.y.size - 2)
-        return (self.y[k] + (g - self.g[k]) * self.slope[k],
-                self.lo[k], self.hi[k])
+        return k, self.y[k] + (g - self.g[k]) * self.slope[k]
 
 
 def _newton(params: MdtParams, target: np.ndarray, y: np.ndarray,
@@ -204,7 +196,7 @@ def _newton(params: MdtParams, target: np.ndarray, y: np.ndarray,
         lo = np.where(fa > 0, ya, lo)
         hi = np.where(fa < 0, ya, hi)
         with np.errstate(divide="ignore", invalid="ignore"):
-            y_new = ya - fa / _log_tail_slope_y(params, ya)
+            y_new = ya - fa / _log_tail_y(params, ya, slope=True)[1]
         y_new = np.where((y_new > lo) & (y_new < hi), y_new, 0.5 * (lo + hi))
         y[idx] = y_new
         fa = _log_tail_y(params, y_new) - target[idx]
@@ -225,22 +217,15 @@ def tail_formula(params: MdtParams, u):
     return float(out) if out.ndim == 0 else out
 
 
-def log_survival(params: MdtParams, u):
-    """ln S(u) for the completed law (0 on [0, u_star])."""
+def survival(params: MdtParams, u):
+    """P(|xi| > u): 1 on [0, u_star], proportional to the tail formula beyond."""
     u_arr = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(u_arr)) or np.any(u_arr < 0):
         raise DomainError("survival requires finite u >= 0")
-    y_star = math.log(params.u_star)
     y = np.log(np.maximum(u_arr, params.u_star))
-    out = _log_tail_y(params, y) - _log_tail_y(params, y_star)
-    out = np.minimum(out, 0.0)
+    out = _log_tail_y(params, y) - _log_tail_y(params, math.log(params.u_star))
+    out = np.exp(np.minimum(out, 0.0))
     return float(out) if out.ndim == 0 else out
-
-
-def survival(params: MdtParams, u):
-    """P(|xi| > u): 1 on [0, u_star], proportional to the tail formula beyond."""
-    out = np.exp(log_survival(params, u))
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def quantile(params: MdtParams, q):
@@ -251,12 +236,11 @@ def quantile(params: MdtParams, q):
     inverse y = y_star + g / beta, which the first check accepts.  Every
     other law in the grammar starts from linear interpolation in a
     monotone table of (-ln S(y), y), built once per law and cached on the
-    params, inside a bracket of the table nodes around the target; one
-    Newton step then usually converges.  The loop is safeguarded Newton
-    on the exact log-tail slope, with bisection inside the bracket.  The
-    residual of each draw's last convergence check is its post-check:
-    NumericError, with the law and the worst q, unless every draw has
-    |survival(u) - q| <= 1e-10.
+    params, and takes one Newton step for all draws at once.  The draws
+    that fail the residual test after it restart from the table in the
+    safeguarded loop: Newton with bisection inside a bracket of table
+    nodes.  Each draw's last residual is its post-check: NumericError,
+    with the law and the worst q, unless every |survival(u) - q| <= 1e-10.
     """
     q_arr = np.asarray(q, dtype=float)
     flat = q_arr.reshape(-1)
@@ -280,16 +264,29 @@ def _quantile_block(params: MdtParams, q: np.ndarray, out: np.ndarray):
         raise DomainError("quantile requires q in (0, 1]")
     y_star = math.log(params.u_star)
     g = -np.log(q)
-    if params.gamma == 0 and isinstance(params.v, Constant):
-        y = y_star + g / params.beta
-        lo, hi = y_star, y_star + _TABLE_G_MAX / params.beta
-    else:
-        y, lo, hi = params._inverse_table.start(g)
+    target = _log_tail_y(params, y_star) - g
     # |S - q| = q |expm1(f)| for the log-space residual f, so this
     # tolerance delivers absolute accuracy 1e-13 in probability; the clamp
     # keeps the quotient finite at subnormal q
     f_tol = 1e-13 / np.maximum(q, 1e-13 / 0.3) + 3e-15
-    f = _newton(params, _log_tail_y(params, y_star) - g, y, lo, hi, f_tol)
+    if params.gamma == 0 and isinstance(params.v, Constant):
+        y = y_star + g / params.beta
+        f = _newton(params, target, y, y_star, y_star + _TABLE_G_MAX / params.beta, f_tol)
+    else:
+        table = params._inverse_table
+        k, y0 = table.start(g)
+        f, slope = _log_tail_y(params, y0, slope=True)
+        # f decreases on [y_star, inf), so any y there that passes the
+        # residual test is a root; a NaN from a vanishing slope fails it
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            y = np.maximum(y0 - (f - target) / slope, y_star)
+            f = _log_tail_y(params, y) - target
+        bad = np.flatnonzero(~(np.abs(f) <= f_tol))
+        if bad.size:
+            y_bad = y0[bad]
+            f[bad] = _newton(params, target[bad], y_bad, table.lo[k[bad]],
+                             table.hi[k[bad]], f_tol[bad])
+            y[bad] = y_bad
     err = q * np.abs(np.expm1(f))
     worst = int(np.argmax(err))
     np.exp(y, out=out)

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 from scipy.integrate import quad
 
-from .bounds import c1_pessimistic, q_bound_closed
+from .bounds import c1_pessimistic, closed_u_min, q_bound_closed
 from .distribution import MdtParams
 from .errors import DomainError, NumericError
 from .fenchel import GeneratingFunction, gls_norm_from_moments
@@ -249,7 +249,7 @@ def finite_net_union_bound(model: FieldModel, params: MdtParams, u: float,
     def component_bound(threshold: float) -> float:
         # P(|normalized sum| > threshold) <= Q_closed(threshold); clamp to 1
         # below the closed-form domain
-        if threshold < _E:
+        if threshold < closed_u_min(params):
             return 1.0
         return float(q_bound_closed(params, threshold, c=c1))
 

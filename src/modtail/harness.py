@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -166,8 +167,10 @@ def _run(seed: int, reps: int, per_rep: int, n: int, threads: int,
             raise
 
     chunks = _chunks(reps, per_rep)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    # more workers than usable CPUs or than chunks only add contention
+    workers = min(threads, len(os.sched_getaffinity(0)), len(chunks))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             return sum(pool.map(run, chunks))
     return sum(map(run, chunks))
 

@@ -145,13 +145,6 @@ class EquivalenceReport:
     limit_constant_observed: float   # r at the grid point closest to beta
     limit_constant_gamma: Optional[float]  # Gamma(gamma+1), regime A only
 
-    def to_csv(self, path) -> None:
-        rows = np.column_stack([self.p_grid, self.moments, self.thetas, self.ratios])
-        header = (f"# modtail theta-equivalence report\n# {self.params.describe()}\n"
-                  f"# band={self.band:g} passed={self.passed}\n"
-                  "p,moment,theta,ratio")
-        np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=header, comments="")
-
 
 def verify_equivalence(params: MdtParams, p_grid: Optional[Sequence[float]] = None,
                        band: float = 50.0) -> EquivalenceReport:

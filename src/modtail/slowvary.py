@@ -14,6 +14,7 @@ changing the behavior at infinity.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -82,32 +83,37 @@ def _eval(v, y):
     raise TypeError(f"not a SlowlyVarying node: {v!r}")
 
 
-def sv_log_deriv(v: SlowlyVarying, y):
-    """d/dy of ln V(y), exact for every grammar member."""
-    y = np.asarray(y, dtype=float)
-    if isinstance(v, Constant):
-        return np.zeros_like(y)
-    if isinstance(v, LogPower):
-        return v.r / ((1.0 + np.log1p(y)) * (1.0 + y))
-    if isinstance(v, IterLogPower):
-        l1 = np.log1p(y)
-        return v.r / ((1.0 + np.log1p(l1)) * (1.0 + l1) * (1.0 + y))
-    if isinstance(v, Product):
-        return sv_log_deriv(v.left, y) + sv_log_deriv(v.right, y)
-    raise TypeError(f"not a SlowlyVarying node: {v!r}")
+def sv_log(v: SlowlyVarying, y, deriv: bool = False):
+    """ln V(y) for y >= 0, or with deriv the pair (ln V, d/dy ln V).
+
+    Every tree is V = c (1 + L1)**a (1 + L2)**b with L1 = ln(1+y) and
+    L2 = ln(1+L1), so ln V takes no pow and the derivative shares L1, L2.
+    """
+    ln_c, a, b = _exponent_sums(v)
+    if not (a or b):
+        return (ln_c, 0.0) if deriv else ln_c
+    l1 = np.log1p(y)
+    l2 = np.log1p(l1)
+    out = a * l2 + b * np.log1p(l2) if b else a * l2
+    if ln_c:
+        out += ln_c
+    if not deriv:
+        return out
+    # d/dy ln(1+L1) = 1/((1+L1)(1+y)), and d/dy ln(1+L2) is that over 1+L2
+    return out, (a + b / (1.0 + l2) if b else a) / ((1.0 + l1) * (1.0 + y))
 
 
 def _exponent_sums(v):
-    """(sum of LogPower exponents, sum of IterLogPower exponents)."""
+    """(ln c, summed LogPower exponents, summed IterLogPower exponents)."""
     if isinstance(v, Constant):
-        return 0.0, 0.0
+        return math.log(v.c), 0.0, 0.0
     if isinstance(v, LogPower):
-        return v.r, 0.0
+        return 0.0, v.r, 0.0
     if isinstance(v, IterLogPower):
-        return 0.0, v.r
-    lp_l, il_l = _exponent_sums(v.left)
-    lp_r, il_r = _exponent_sums(v.right)
-    return lp_l + lp_r, il_l + il_r
+        return 0.0, 0.0, v.r
+    c_l, lp_l, il_l = _exponent_sums(v.left)
+    c_r, lp_r, il_r = _exponent_sums(v.right)
+    return c_l + c_r, lp_l + lp_r, il_l + il_r
 
 
 def limit_at_infinity_is_zero(v: SlowlyVarying) -> bool:
@@ -116,7 +122,7 @@ def limit_at_infinity_is_zero(v: SlowlyVarying) -> bool:
     The limit is zero iff the total log-power exponent is negative, or is
     exactly zero with a negative iterated-log exponent.
     """
-    lp, il = _exponent_sums(v)
+    _, lp, il = _exponent_sums(v)
     return lp < 0 or (lp == 0 and il < 0)
 
 

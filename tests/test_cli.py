@@ -53,6 +53,18 @@ def test_bound_labels_chain_constant_pessimistic(tmp_path):
                          "mode": "pessimistic"}
 
 
+def test_bound_labels_user_constant_given(tmp_path):
+    # a user's bounds.c1 is neither the Rosenthal-chain constant nor a
+    # calibrated one, whatever bounds.mode reads
+    path = tmp_path / "given.yaml"
+    path.write_text(FAST_PLAN + "bounds:\n  c1: 5.0\n")
+    out = tmp_path / "out"
+    assert run(["bound", "--config", str(path), "--out", str(out)]) == 0
+    header = (out / "bound_closed-form-ex1.csv").read_text().splitlines()[1]
+    constants = json.loads(header.removeprefix("# constants="))
+    assert constants == {"c": 5.0, "mode": "given"}
+
+
 def test_simulate_command(tmp_path, cfg):
     out = tmp_path / "out"
     assert run(["simulate", "--config", cfg, "--out", str(out)]) == 0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from modtail import distribution
 from modtail.distribution import (STREAM_BLOCK, MdtParams, make_mdt,
                                   quantile, sample, sign_by_words,
                                   stream_words, survival, tail_formula,
@@ -129,6 +130,38 @@ def test_quantile_property_over_grammar(beta, gamma, v):
     assert np.max(np.abs(survival(p, u) - q)) <= 1e-10
     assert np.all(np.diff(u) <= 0)
     assert quantile(p, 1.0) == p.u_star
+
+
+@pytest.mark.parametrize("beta,gamma,v", [(3.0, 6.0, "c(1)"),
+                                           (2.05, 3.0, "lp(2)*ilp(-1)")])
+def test_quantile_fallback_where_slope_vanishes(beta, gamma, v, monkeypatch):
+    # the log-tail slope vanishes at u_star, so one dense Newton step
+    # leaves some draws with q near 1 unconverged; they restart in the
+    # safeguarded loop, which must give what it gives on its own
+    p = make_mdt(beta, gamma, parse_sv(v))
+    table = p._inverse_table
+    q = word_uniforms(stream_words(7, 0, 1 << 15))
+    newton, sent = distribution._newton, []
+
+    def recording(params, target, *args):
+        sent.append(target.copy())
+        return newton(params, target, *args)
+
+    monkeypatch.setattr(distribution, "_newton", recording)
+    u = quantile(p, q)
+    monkeypatch.undo()
+    l_star = distribution._log_tail_y(p, math.log(p.u_star))
+    g = -np.log(q)
+    fell_back = np.isin(l_star - g, np.concatenate(sent))
+    assert 0 < fell_back.sum() < q.size
+    assert np.max(np.abs(survival(p, u[fell_back]) - q[fell_back])) <= 1e-10
+    # every draw through the loop alone, from the table, at the kernel's
+    # tolerance
+    k, y = table.start(g)
+    f_tol = 1e-13 / np.maximum(q, 1e-13 / 0.3) + 3e-15
+    newton(p, l_star - g, y, table.lo[k], table.hi[k], f_tol)
+    rel = np.abs(u / np.exp(y) - 1.0)
+    assert rel[q >= 1e-4].max() <= 1e-12
 
 
 def test_quantile_domain():

@@ -151,6 +151,18 @@ def test_union_bound_monotone_in_u():
     assert vals[-1] < 1e-6
 
 
+def test_union_bound_regime_b_below_closed_domain():
+    # regime B's closed form starts at e**e, above the component
+    # thresholds the first points of this u-grid lead to
+    params = make_mdt(3.0, -1.0)
+    model = FieldModel(params=params, weights=(1.0, 0.5, 0.25), resolution=64)
+    us = np.concatenate([[10.0, 20.0, 50.0], np.geomspace(60.0, 1e8, 30)])
+    vals = np.array([finite_net_union_bound(model, params, float(u)) for u in us])
+    assert np.all((vals >= 0.0) & (vals <= 1.0))
+    assert np.all(np.diff(vals) <= 1e-15)
+    assert vals[-1] < 1.0
+
+
 def test_union_bound_certified_against_simulation():
     # the union bound must dominate the simulated grid supremum tail
     params = CANONICAL_FIELD.params

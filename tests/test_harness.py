@@ -129,6 +129,23 @@ def test_chunk_layout_ignores_threads():
     assert {w for w, _, _ in layouts[0]} == firsts
 
 
+def test_worker_pool_capped_by_chunks(monkeypatch):
+    sizes = []
+
+    class Recording(harness.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kw):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers, **kw)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", Recording)
+    # 2 chunks, then 1 chunk, each asked for 8 threads
+    for reps in (5000, 100):
+        assert harness._run(3, reps, 100, 100, 8, lambda w, m: m) == reps
+        chunks = len(harness._chunks(reps, 100))
+        assert all(s <= chunks for s in sizes)
+        sizes.clear()
+
+
 def test_simulation_deterministic():
     a = simulate(small_plan())
     b = simulate(small_plan())

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from modtail.errors import DomainError
 from modtail.slowvary import (Constant, IterLogPower, LogPower, Product,
                               format_sv, limit_at_infinity_is_zero, parse_sv,
-                              sv_eval, sv_log_deriv)
+                              sv_eval, sv_log)
 
 
 def random_tree(draw_depth=0):
@@ -83,7 +83,7 @@ def test_slow_variation_ratio(v):
     for lam in (2.0, 10.0):
         for y in (1e6, 1e9, 1e12):
             log_ratio = abs(math.log(sv_eval(v, lam * y) / sv_eval(v, y)))
-            slopes = sv_log_deriv(v, np.geomspace(y, lam * y, 1001))
+            slopes = sv_log(v, np.geomspace(y, lam * y, 1001), deriv=True)[1]
             cap = (lam - 1.0) * y * np.max(np.abs(slopes))
             assert log_ratio <= cap * (1.0 + 1e-9) + 1e-12
 
@@ -93,7 +93,21 @@ def test_slow_variation_ratio(v):
 def test_log_deriv_matches_finite_difference(v, y):
     h = 1e-5 * max(1.0, y)
     fd = (math.log(sv_eval(v, y + h)) - math.log(sv_eval(v, y - h))) / (2 * h)
-    assert sv_log_deriv(v, y) == pytest.approx(fd, rel=1e-4, abs=1e-10)
+    assert sv_log(v, y, deriv=True)[1] == pytest.approx(fd, rel=1e-4, abs=1e-10)
+
+
+@given(random_tree(), st.floats(0.0, 1e12))
+@settings(max_examples=300)
+def test_log_space_matches_log_of_eval(v, y):
+    # sv_log sums exponents times iterated logs, sv_eval multiplies powers;
+    # relative to 1 where ln V is near 0, as opposite exponents may cancel
+    ys = np.array([y, 0.0, 1.0, 1e3, 1e12])
+    want = np.log(sv_eval(v, ys))
+    got = sv_log(v, ys)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+    value, _ = sv_log(v, ys, deriv=True)
+    assert np.array_equal(np.broadcast_to(value, ys.shape),
+                          np.broadcast_to(got, ys.shape))
 
 
 def test_limit_trivial_cases():
