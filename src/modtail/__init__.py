@@ -11,7 +11,7 @@ from .distribution import (MdtParams, make_mdt, quantile, sample, survival,
 from .moments import (MomentCurve, default_p_grid, moment_from_tail,
                       natural_psi, theta, theta_regime, verify_equivalence)
 from .fenchel import (FenchelCurve, GeneratingFunction, fenchel,
-                      gls_norm_empirical, gls_norm_from_moments, tail_from_gls)
+                      gls_norm_from_moments, tail_from_gls)
 from .bounds import (SumMomentEnvelope, TailCurve, c1_pessimistic,
                      calibrate_closed_constant, closed_curve, closed_shape,
                      fenchel_curve_bound, lower_witness, q_bound_closed,

@@ -28,8 +28,8 @@ STREAM_BLOCK = 1 << 18
 # largest |survival(quantile(q)) - q| that quantile returns
 _RESIDUAL_TOL = 1e-10
 _NEWTON_STEPS = 100
-# quantile works through its input in blocks of this many draws, so the
-# kernel's working arrays stay in cache
+# quantile and the harness's sampling pipeline work through their input
+# in blocks of this many draws, so the working arrays stay in cache
 _BLOCK = 16384
 # inverse table node k sits at g = expm1(k / scale); the last node lies
 # past -ln of the smallest positive double (744.44)
@@ -177,15 +177,17 @@ class _InverseTable:
 
 
 def _newton(params: MdtParams, target: np.ndarray, y: np.ndarray,
-            lo, hi, f_tol: np.ndarray) -> np.ndarray:
+            lo, hi, f_tol: np.ndarray, f=None) -> np.ndarray:
     """Safeguarded Newton on f(y) = log tail(y) - target, which decreases
     in y, until |f| <= f_tol.
 
-    Works in place on the start y; lo and hi (arrays like y, or scalars)
-    bracket the roots, and a step that leaves the bracket becomes a
-    bisection.  Returns the residual f of each y's last evaluation.
+    Works in place on the start y, whose residuals f are computed unless
+    given; lo and hi (arrays like y, or scalars) bracket the roots, and a
+    step that leaves the bracket becomes a bisection.  Returns the
+    residual f of each y's last evaluation.
     """
-    f = _log_tail_y(params, y) - target
+    if f is None:
+        f = _log_tail_y(params, y) - target
     idx = np.flatnonzero(np.abs(f) > f_tol)
     lo = np.broadcast_to(lo, y.shape)[idx]
     hi = np.broadcast_to(hi, y.shape)[idx]
@@ -233,14 +235,15 @@ def quantile(params: MdtParams, q):
 
     Solves for y = ln u against the target g = -ln q, vectorized over q.
     For the pure power law (gamma = 0, constant V) the start is the exact
-    inverse y = y_star + g / beta, which the first check accepts.  Every
-    other law in the grammar starts from linear interpolation in a
-    monotone table of (-ln S(y), y), built once per law and cached on the
-    params, and takes one Newton step for all draws at once.  The draws
-    that fail the residual test after it restart from the table in the
-    safeguarded loop: Newton with bisection inside a bracket of table
-    nodes.  Each draw's last residual is its post-check: NumericError,
-    with the law and the worst q, unless every |survival(u) - q| <= 1e-10.
+    inverse y = y_star + g / beta, which a block accepts at once when its
+    largest residual passes the strictest per-draw test.  Every other law
+    in the grammar starts from linear interpolation in a monotone table
+    of (-ln S(y), y), built once per law and cached on the params, and
+    takes one Newton step for all draws at once.  The draws that fail the
+    residual test after it resume the safeguarded loop: Newton with
+    bisection inside a bracket of table nodes.  Each draw's last residual
+    is its post-check: NumericError, with the law and the worst q, unless
+    every |survival(u) - q| <= 1e-10.
     """
     q_arr = np.asarray(q, dtype=float)
     flat = q_arr.reshape(-1)
@@ -257,41 +260,71 @@ def quantile(params: MdtParams, q):
     return float(out[0]) if q_arr.ndim == 0 else out.reshape(q_arr.shape)
 
 
+def _f_tol(q: np.ndarray) -> np.ndarray:
+    """Per-draw bound on the log-space residual f: |S - q| = q |expm1(f)|,
+    so 1e-13 in probability; the clamp keeps it finite at subnormal q."""
+    return 1e-13 / np.maximum(q, 1e-13 / 0.3) + 3e-15
+
+
 def _quantile_block(params: MdtParams, q: np.ndarray, out: np.ndarray):
-    """quantile on one block, written to out; returns the largest residual
-    and its q."""
-    if not (q.min() > 0 and q.max() <= 1):
+    """quantile on one block, written to out.  Returns a bound on the
+    largest residual and a q; whenever the bound misses _RESIDUAL_TOL they
+    are the largest residual itself and its q."""
+    q_max = q.max()
+    if not (q.min() > 0 and q_max <= 1):
         raise DomainError("quantile requires q in (0, 1]")
     y_star = math.log(params.u_star)
-    g = -np.log(q)
-    target = _log_tail_y(params, y_star) - g
-    # |S - q| = q |expm1(f)| for the log-space residual f, so this
-    # tolerance delivers absolute accuracy 1e-13 in probability; the clamp
-    # keeps the quotient finite at subnormal q
-    f_tol = 1e-13 / np.maximum(q, 1e-13 / 0.3) + 3e-15
+    target = np.log(q)
+    f_max = math.inf
     if params.gamma == 0 and isinstance(params.v, Constant):
-        y = y_star + g / params.beta
-        f = _newton(params, target, y, y_star, y_star + _TABLE_G_MAX / params.beta, f_tol)
+        y = np.divide(target, -params.beta, out=out)
+        y += y_star
+        target += _log_tail_y(params, y_star)
+        f = _log_tail_y(params, y)
+        f -= target
+        f_max = max(f.max(), -f.min())
+        # within f_tol at q = 1, its smallest value, every draw passes;
+        # a NaN fails
+        if not f_max <= 1e-13 + 3e-15:
+            f_max = math.inf
+            f = _newton(params, target, y, y_star,
+                        y_star + _TABLE_G_MAX / params.beta, _f_tol(q))
     else:
         table = params._inverse_table
-        k, y0 = table.start(g)
-        f, slope = _log_tail_y(params, y0, slope=True)
+        k, y0 = table.start(-target)
+        target += _log_tail_y(params, y_star)
+        f0, slope = _log_tail_y(params, y0, slope=True)
+        f0 -= target
         # f decreases on [y_star, inf), so any y there that passes the
         # residual test is a root; a NaN from a vanishing slope fails it
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            y = np.maximum(y0 - (f - target) / slope, y_star)
+            y = np.maximum(y0 - f0 / slope, y_star)
             f = _log_tail_y(params, y) - target
+        f_tol = _f_tol(q)
         bad = np.flatnonzero(~(np.abs(f) <= f_tol))
         if bad.size:
-            y_bad = y0[bad]
-            f[bad] = _newton(params, target[bad], y_bad, table.lo[k[bad]],
-                             table.hi[k[bad]], f_tol[bad])
+            # the safeguarded loop's first step from y0 is this step
+            # whenever it lands inside the bracket that f0 narrows:
+            # resume the loop there, or else from y0
+            y0, f0 = y0[bad], f0[bad]
+            lo = np.where(f0 > 0, y0, table.lo[k[bad]])
+            hi = np.where(f0 < 0, y0, table.hi[k[bad]])
+            inside = (y[bad] > lo) & (y[bad] < hi)
+            y_bad = np.where(inside, y[bad], y0)
+            f[bad] = _newton(params, target[bad], y_bad, lo, hi, f_tol[bad],
+                             np.where(inside, f[bad], f0))
             y[bad] = y_bad
-    err = q * np.abs(np.expm1(f))
-    worst = int(np.argmax(err))
+    # |S - q| = q |expm1(f)| <= expm1(max |f|); each draw's own residual
+    # only where that bound misses, so an error names the worst q
+    err, q_at = math.expm1(f_max), float(q_max)
+    if not err <= _RESIDUAL_TOL:
+        errs = q * np.abs(np.expm1(f))
+        worst = int(np.argmax(errs))
+        err, q_at = float(errs[worst]), float(q[worst])
     np.exp(y, out=out)
-    out[q == 1.0] = params.u_star
-    return float(err[worst]), float(q[worst])
+    if q_max == 1.0:
+        out[q == 1.0] = params.u_star
+    return err, q_at
 
 
 def stream_words(seed: int, block: int, count: int) -> np.ndarray:
@@ -300,19 +333,27 @@ def stream_words(seed: int, block: int, count: int) -> np.ndarray:
     return np.random.Philox(np.random.SeedSequence([seed, block])).random_raw(count)
 
 
-def word_uniforms(words: np.ndarray) -> np.ndarray:
+def word_uniforms(words: np.ndarray, out=None) -> np.ndarray:
     """q = ((r >> 11) + 1) * 2**-53 for each word r: the top 53 bits as a
-    uniform on (0, 1], exactly the values 1 - Generator.random() takes."""
-    return ((words >> np.uint64(11)) + np.uint64(1)) * 2.0 ** -53
+    uniform on (0, 1], exactly the values 1 - Generator.random() takes.
+    Written to out (float64, shaped like words) when given."""
+    if out is None:
+        out = np.empty(words.shape)
+    bits = np.right_shift(words, np.uint64(11), out=out.view(np.uint64))
+    bits += np.uint64(1)
+    # at most 2**53, so exact as int64, which converts faster than uint64
+    return np.multiply(bits.view(np.int64), 2.0 ** -53, out=out)
 
 
-def sign_by_words(x: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Negate x (nonnegative, contiguous) in place where the word's low
-    bit is set: a bit word_uniforms does not read, so sign and magnitude
-    are independent."""
-    bits = x.view(np.uint64)
-    bits |= words << np.uint64(63)
-    return x
+def sign_by_words(x: np.ndarray, words: np.ndarray, out=None) -> np.ndarray:
+    """x (nonnegative, contiguous) negated where the word's low bit is
+    set, in place or written to out, which may be the words themselves: a
+    bit word_uniforms does not read, so sign and magnitude are
+    independent."""
+    out = x if out is None else out
+    np.bitwise_or(x.view(np.uint64), words << np.uint64(63),
+                  out=out.view(np.uint64))
+    return out
 
 
 def sample(params: MdtParams, seed: int, n: int, offset: int = 0) -> np.ndarray:
@@ -329,5 +370,7 @@ def sample(params: MdtParams, seed: int, n: int, offset: int = 0) -> np.ndarray:
         raise DomainError("sample requires offset >= 0")
     blocks = range(offset // STREAM_BLOCK, (offset + n - 1) // STREAM_BLOCK + 1)
     words = np.concatenate([stream_words(seed, b, STREAM_BLOCK) for b in blocks])
-    words = words[offset % STREAM_BLOCK:][:n]
-    return sign_by_words(quantile(params, word_uniforms(words)), words)
+    # a copy: the draws are written over it, and must not pin the blocks
+    words = words[offset % STREAM_BLOCK:][:n].copy()
+    from .harness import _draws  # the harness imports this module
+    return _draws(params, words)

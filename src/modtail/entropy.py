@@ -69,11 +69,6 @@ class MetricEntropyModel:
 
         return cls(diameter=diameter, covering=covering, holder=hp)
 
-    @classmethod
-    def singleton(cls, diameter: float = 1.0) -> "MetricEntropyModel":
-        return cls(diameter=diameter,
-                   covering=lambda eps: np.ones_like(np.asarray(eps, dtype=float)))
-
 
 def check_entropy_condition(d: int, alpha: float, beta: float, gamma: float) -> bool:
     """True iff beta / (gamma + 1) > d / alpha (strict)."""

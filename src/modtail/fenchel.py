@@ -208,21 +208,3 @@ def gls_norm_from_moments(curve: MomentCurve, psi: GeneratingFunction) -> NormRe
     ratios = curve.values[keep] ** (1.0 / ps) / psi(ps)
     i = int(np.argmax(ratios))
     return NormResult(value=float(ratios[i]), arg_p=float(ps[i]))
-
-
-def gls_norm_empirical(values: np.ndarray, psi: GeneratingFunction,
-                       p_grid: Sequence[float]) -> NormResult:
-    """Plug-in GLS norm from data: sample p-moments to the 1/p over psi."""
-    values = np.abs(np.asarray(values, dtype=float))
-    if values.size < 1000:
-        raise DomainError("empirical GLS norm needs at least 1000 samples")
-    ps = np.asarray(p_grid, dtype=float)
-    ratios = np.array([np.mean(values ** p) ** (1.0 / p) for p in ps]) / psi(ps)
-    i = int(np.argmax(ratios))
-    return NormResult(value=float(ratios[i]), arg_p=float(ps[i]))
-
-
-def empirical_p_cap(params: MdtParams, psi: GeneratingFunction) -> float:
-    """Default grid cap for empirical norms: heavy-tail p-moment estimators
-    blow up near beta, so stay half a unit below."""
-    return min(psi.p_max, params.beta - 0.5)

@@ -6,9 +6,18 @@ every bound curve against it.  The sup over all n is truncated to the
 plan's n-grid; per-n curves are kept in the report so saturation can be
 judged.  One chunked loop serves every statistic: chunk ci reads block
 ci of the seed's counter-based stream, one 64-bit word per draw, so
-results do not depend on the worker count.  Each replication draws one
-block of n_max draws and every S_n on the n-grid is a prefix sum of it;
-the tails share draws, so the DKW level is split over the n-grid.
+results do not depend on the worker count.  One pipeline turns a
+chunk's words into signed draws, in blocks of distribution._BLOCK words
+small enough to stay in cache: the block's uniforms go to a workspace
+buffer allocated once per chunk, quantile gives their magnitudes (for
+the pure power law in place, the whole block accepted on its largest
+log-space residual), and the sign from the same words is set as the
+draws are written over those words.  So the chunk's words are its only
+chunk-sized array: a second one, allocated and freed per chunk, made
+the allocator hand memory back and fault it in again every chunk.  Each
+replication draws one block of n_max draws and every S_n on the n-grid
+is a prefix sum of it; the tails share draws, so the DKW level is split
+over the n-grid.
 """
 
 from __future__ import annotations
@@ -23,8 +32,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .bounds import TailCurve, c1_pessimistic, closed_u_min, q_bound_closed
-from .distribution import (STREAM_BLOCK, MdtParams, quantile, sign_by_words,
-                           stream_words, word_uniforms)
+from .distribution import (_BLOCK, STREAM_BLOCK, MdtParams, quantile,
+                           sign_by_words, stream_words, word_uniforms)
 from .entropy import FieldModel
 from .errors import DomainError, NumericError
 from ._version import __version__ as _version
@@ -176,8 +185,17 @@ def _run(seed: int, reps: int, per_rep: int, n: int, threads: int,
 
 
 def _draws(params: MdtParams, words: np.ndarray) -> np.ndarray:
-    """Signed draws of the law from stream words, one word each."""
-    return sign_by_words(quantile(params, word_uniforms(words)), words)
+    """Signed draws of the law from stream words (contiguous), one word
+    each: the block pipeline the module docstring describes.  The draws
+    are written over the words, which it consumes, and returned as
+    float64 of their shape."""
+    flat = words.reshape(-1)
+    q = np.empty(min(_BLOCK, flat.size))
+    for i in range(0, flat.size, _BLOCK):
+        w = flat[i:i + _BLOCK]
+        sign_by_words(quantile(params, word_uniforms(w, out=q[:w.size])), w,
+                      out=w.view(np.float64))
+    return flat.view(np.float64).reshape(words.shape)
 
 
 def _prefix_sums(x: np.ndarray, n_grid: Sequence[int]) -> np.ndarray:

@@ -10,7 +10,7 @@ from modtail.distribution import (STREAM_BLOCK, MdtParams, make_mdt,
                                   quantile, sample, sign_by_words,
                                   stream_words, survival, tail_formula,
                                   word_uniforms)
-from modtail.errors import DomainError
+from modtail.errors import DomainError, NumericError
 from modtail.harness import dkw_halfwidth
 from modtail.slowvary import (Constant, IterLogPower, LogPower, Product,
                               parse_sv)
@@ -164,6 +164,67 @@ def test_quantile_fallback_where_slope_vanishes(beta, gamma, v, monkeypatch):
     assert rel[q >= 1e-4].max() <= 1e-12
 
 
+def _pure_power_per_draw(p, q):
+    """The pure power law's per-draw path: the closed-form start, each
+    draw's own f_tol and the safeguarded loop."""
+    y_star = math.log(p.u_star)
+    g = -np.log(q)
+    y = y_star + g / p.beta
+    distribution._newton(p, distribution._log_tail_y(p, y_star) - g, y, y_star,
+                         y_star + distribution._TABLE_G_MAX / p.beta,
+                         distribution._f_tol(q))
+    u = np.exp(y)
+    u[q == 1.0] = p.u_star
+    return u
+
+
+def test_quantile_pure_power_block_test(monkeypatch):
+    # a block whose largest log-space residual is within the smallest
+    # f_tol is accepted whole; one with subnormal q (|f| = 1.1e-13 at
+    # q = 5e-324 for this law) falls through to the per-draw test.  Either
+    # way the draws are the per-draw path's, bit for bit, and q = 1 gives
+    # u_star, which exp(ln u_star) misses here
+    p = make_mdt(2.3, 0.0, Constant(0.3), u_star=10.0)
+    normal = np.concatenate([[1.0], word_uniforms(stream_words(5, 0, 3000)),
+                             [1.0]])
+    blocks = [(normal, False),
+              (np.concatenate([normal, [SMALLEST_Q, 1e-320]]), True)]
+    refs = [_pure_power_per_draw(p, q) for q, _ in blocks]
+    newton, calls = distribution._newton, []
+
+    def recording(*args):
+        calls.append(args[1].size)
+        return newton(*args)
+
+    monkeypatch.setattr(distribution, "_newton", recording)
+    for (q, falls_through), ref in zip(blocks, refs):
+        calls.clear()
+        u = quantile(p, q)
+        assert bool(calls) == falls_through
+        assert u[0] == u[normal.size - 1] == p.u_star
+        assert np.array_equal(u, ref)
+
+
+def test_quantile_error_names_the_worst_residual(monkeypatch):
+    # when the block bound expm1(max |f|) misses the tolerance, every
+    # draw's residual q |expm1(f)| is computed, over two blocks, and the
+    # error names the q with the largest
+    p = make_mdt(3.0, 0.0)
+    q = word_uniforms(stream_words(8, 0, 3 * distribution._BLOCK // 2))
+    y_star = math.log(p.u_star)
+    y = y_star - np.log(q) / p.beta
+    f = distribution._log_tail_y(p, y) - (distribution._log_tail_y(p, y_star)
+                                          + np.log(q))
+    err = q * np.abs(np.expm1(f))
+    assert 0 < err.max() <= 1e-13
+    monkeypatch.setattr(distribution, "_RESIDUAL_TOL", 0.0)
+    with pytest.raises(NumericError) as info:
+        quantile(p, q)
+    diag = info.value.diagnostics
+    assert diag["q"] == q[np.argmax(err)]
+    assert diag["max_abs_err"] == err.max()
+
+
 def test_quantile_domain():
     with pytest.raises(DomainError):
         quantile(CANONICAL, 0.0)
@@ -199,6 +260,11 @@ def test_word_decode():
     assert q.tolist() == [2.0 ** -53, 2.0 ** -53, 2.0 ** -52, 1.0]
     signed = sign_by_words(np.full(4, 2.5), words)
     assert signed.tolist() == [2.5, -2.5, 2.5, -2.5]
+    # the same into a workspace, the input left as it was
+    x, out = np.full(4, 2.5), np.empty(4)
+    assert word_uniforms(words, out=out) is out and out.tolist() == q.tolist()
+    assert sign_by_words(x, words, out=out).tolist() == signed.tolist()
+    assert x.tolist() == [2.5] * 4
     # on the stream, the sign is balanced and the magnitude is uniform
     words = stream_words(3, 0, 10 ** 5)
     signs = sign_by_words(np.ones(words.size), words)

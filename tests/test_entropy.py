@@ -54,7 +54,8 @@ def test_entropy_integral_matches_direct_quadrature():
 
 def test_entropy_integral_singleton():
     # N = 1 everywhere, so the integral is just the diameter
-    model = MetricEntropyModel.singleton(diameter=2.5)
+    model = MetricEntropyModel(
+        diameter=2.5, covering=lambda eps: np.ones_like(np.asarray(eps, float)))
     assert entropy_integral(model, 4.0, 0.0) == pytest.approx(2.5, rel=1e-8)
 
 

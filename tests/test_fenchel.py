@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from modtail.distribution import make_mdt, sample
+from modtail.distribution import make_mdt
 from modtail.errors import DomainError
-from modtail.fenchel import (FenchelCurve, GeneratingFunction, empirical_p_cap,
-                             fenchel, gls_norm_empirical, gls_norm_from_moments,
-                             _refine_grid, tail_from_gls)
+from modtail.fenchel import (FenchelCurve, GeneratingFunction, fenchel,
+                             gls_norm_from_moments, _refine_grid, tail_from_gls)
 from modtail.moments import DELTA_P, MomentCurve, default_p_grid
 
 E = math.e
@@ -168,33 +167,6 @@ def test_chebyshev_bound_dominates_survival():
         for z in np.geomspace(E * k, 1e4 * k, 25):
             bound = tail_from_gls(psi, k, float(z))
             assert survival(params, float(z)) <= bound * (1 + 1e-9)
-
-
-def test_norm_homogeneity():
-    params = make_mdt(4.0, 0.0)
-    psi = GeneratingFunction.from_theta(params)
-    x = sample(params, seed=77, n=5000)
-    grid = np.linspace(2.0, empirical_p_cap(params, psi), 24)
-    base = gls_norm_empirical(x, psi, grid)
-    doubled = gls_norm_empirical(2.0 * x, psi, grid)
-    assert doubled.value == pytest.approx(2.0 * base.value, rel=1e-12)
-
-
-def test_empirical_norm_near_analytic():
-    params = make_mdt(4.0, 0.0)
-    psi = GeneratingFunction.from_theta(params)
-    x = sample(params, seed=4242, n=10 ** 6)
-    grid = np.linspace(2.0, empirical_p_cap(params, psi), 24)
-    emp = gls_norm_empirical(x, psi, grid)
-    curve = MomentCurve.compute(params, grid)
-    ana = gls_norm_from_moments(curve, psi)
-    assert abs(emp.value - ana.value) / ana.value < 0.05
-
-
-def test_empirical_norm_needs_data():
-    psi = GeneratingFunction.from_constant(1.0, b=3.0)
-    with pytest.raises(DomainError):
-        gls_norm_empirical(np.ones(10), psi, [2.0])
 
 
 def test_grid_psi_interpolates():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from modtail.errors import DomainError, NumericError
 from modtail.harness import (EmpiricalTailReport, certify, confidence_radius,
                              coverage_miss_rate, dkw_halfwidth, make_plan,
                              simulate, simulate_field, tail_slope)
+from modtail.slowvary import parse_sv
 
 PARAMS = make_mdt(4.0, 0.0)
 
@@ -93,6 +95,15 @@ def test_chunks_read_the_sample_stream():
     assert np.array_equal(report.counts[0], (x[:, None] > u).sum(axis=0))
 
 
+def test_draws_written_over_the_words():
+    # the pipeline's only chunk-sized array is the words it consumes;
+    # 40000 words make two full blocks and a short one
+    words = stream_words(17, 0, 40000)
+    x = harness._draws(PARAMS, words.reshape(40, 1000))
+    assert x.shape == (40, 1000) and np.shares_memory(x, words)
+    assert np.array_equal(x.reshape(-1), sample(PARAMS, seed=17, n=40000))
+
+
 def test_prefix_sums_match_independent_sums():
     x = sample(PARAMS, seed=60, n=4000).reshape(500, 8)
     sums = harness._prefix_sums(x, (1, 2, 4, 8))
@@ -144,6 +155,24 @@ def test_worker_pool_capped_by_chunks(monkeypatch):
         chunks = len(harness._chunks(reps, 100))
         assert all(s <= chunks for s in sizes)
         sizes.clear()
+
+
+@pytest.mark.parametrize("beta,gamma,v,digest", [
+    (4.0, 0.0, "c(1)",
+     "1e485430740be1c382b9550b6ac9d5bb02ed20e0901b71e267c5cfceb5448f57"),
+    (3.0, -2.0, "lp(-1)",
+     "5432ecccc406cd3e0e587db0f533f758cf85e268405d1e74e2c8e7e0b08c7185")])
+def test_golden_draws(beta, gamma, v, digest):
+    # the exceedance counts of a fixed plan, pinned by digest: a change to
+    # the sampling pipeline must keep every draw bit for bit.  1000 reps
+    # of n_max = 1024 make four chunks, the last one short, so two
+    # workers share them
+    params = make_mdt(beta, gamma, parse_sv(v))
+    for threads in (1, 2):
+        report = simulate(make_plan(params, seed=5, reps=1000, u_points=16,
+                                    threads=threads))
+        assert report.counts.dtype == np.int64
+        assert hashlib.sha256(report.counts.tobytes()).hexdigest() == digest
 
 
 def test_simulation_deterministic():
