@@ -21,7 +21,8 @@ from .bounds import (calibrate_closed_constant, closed_curve,
 from .config import RunConfig
 from .distribution import quantile
 from .entropy import (MetricEntropyModel, check_entropy_condition,
-                      entropy_integral, finite_net_union_bound)
+                      entropy_integral, finite_net_union_bound,
+                      net_bound_level)
 from .errors import ConfigError, DomainError, NumericError
 from .fenchel import FenchelCurve, GeneratingFunction
 from .harness import certify, confidence_radius, make_plan, simulate
@@ -144,12 +145,14 @@ def cmd_entropy(cfg: RunConfig, out: Path) -> int:
     field = cfg.field_model()
     u_grid = _u_grid(cfg, params)
     net = [finite_net_union_bound(field, params, float(u)) for u in u_grid]
+    delta = cfg.raw["confidence"]["delta"]
     _write_json(out / "entropy.json",
                 {"version": __version__, "config_hash": cfg.digest(),
                  "condition_satisfied": ok,
                  "entropic_integral": None if math.isinf(integral) else integral,
                  "net_bound_u": [float(u) for u in u_grid],
-                 "net_bound": net})
+                 "net_bound": net, "net_bound_delta": delta,
+                 "net_bound_u_at_delta": net_bound_level(field, params, delta)})
     return EXIT_OK
 
 

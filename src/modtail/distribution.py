@@ -35,6 +35,9 @@ _BLOCK = 16384
 # past -ln of the smallest positive double (744.44)
 _TABLE_NODES = 4096
 _TABLE_G_MAX = 750.0
+# cos and sin of 2 pi i / 4096: the turn that a word's top 12 bits give
+_TURN = 2.0 * math.pi / 4096 * np.arange(4096)
+_TURN_COS, _TURN_SIN = np.cos(_TURN), np.sin(_TURN)
 
 
 @dataclass(frozen=True)
@@ -354,6 +357,55 @@ def sign_by_words(x: np.ndarray, words: np.ndarray, out=None) -> np.ndarray:
     np.bitwise_or(x.view(np.uint64), words << np.uint64(63),
                   out=out.view(np.uint64))
     return out
+
+
+def rotate_by_words(x: np.ndarray, words: np.ndarray):
+    """x cos(2 pi q) and x sin(2 pi q), q = word_uniforms(words), for x
+    (float64) and the words contiguous and of one shape: the first
+    written over the words, the second over x, both returned.
+
+    No libm call: q = i 2**-12 + j 2**-53 exactly, with i = r >> 52 and
+    j = ((r >> 11) & (2**41 - 1)) + 1.  The cos and sin of the turn
+    2 pi i / 4096 come from a table, those of delta = 2 pi j 2**-53 <=
+    1.54e-3 from 1 - delta**2/2 + delta**4/24 and delta (1 - delta**2/6 +
+    delta**4/120), whose truncation error is below 1e-19, and angle
+    addition joins them.  The words are worked through in blocks of
+    _BLOCK in one workspace, so the loop makes no temporaries.
+    """
+    flat, xf = words.reshape(-1), x.reshape(-1)
+    out = flat.view(np.float64)
+    work = np.empty((4, min(_BLOCK, flat.size)))
+    for s in range(0, flat.size, _BLOCK):
+        r, xb, c = flat[s:s + _BLOCK], xf[s:s + _BLOCK], out[s:s + _BLOCK]
+        a, t, b, cd = (w[:r.size] for w in work)
+        bits = np.right_shift(r, np.uint64(11), out=a.view(np.uint64))
+        bits &= np.uint64((1 << 41) - 1)
+        bits += np.uint64(1)
+        d = np.multiply(bits.view(np.int64), 2.0 * math.pi * 2.0 ** -53, out=a)
+        i = np.right_shift(r, np.uint64(52), out=t.view(np.uint64)).view(np.intp)
+        # the word is read, so its slot c takes sin delta
+        d2 = np.multiply(d, d, out=b)
+        np.multiply(d2, 1.0 / 24.0, out=cd)
+        cd -= 0.5
+        cd *= d2
+        cd += 1.0
+        np.multiply(d2, 1.0 / 120.0, out=c)
+        c -= 1.0 / 6.0
+        c *= d2
+        c *= d
+        c += d
+        # x cos(turn) to a, x sin(turn) to b, then angle addition
+        np.take(_TURN_COS, i, out=a, mode="clip")
+        np.take(_TURN_SIN, i, out=b, mode="clip")
+        a *= xb
+        b *= xb
+        np.multiply(b, cd, out=xb)
+        np.multiply(a, c, out=t)
+        xb += t
+        c *= b
+        np.multiply(a, cd, out=t)
+        np.subtract(t, c, out=c)
+    return out.reshape(words.shape), x
 
 
 def sample(params: MdtParams, seed: int, n: int, offset: int = 0) -> np.ndarray:

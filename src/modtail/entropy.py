@@ -136,7 +136,10 @@ class FieldModel:
 
     with independent heavy-tailed amplitudes xi_j and uniform phases U_j.
     Centered by phase symmetry, pathwise Lipschitz with constant
-    sum_j 2 pi j |a_j| |xi_j|.
+    sum_j 2 pi j |a_j| |xi_j|.  The grid k / M is symmetric under
+    z -> 1 - z; the harness relies on that to take the grid supremum
+    over the points k <= M / 2 alone, as the max of |P| + |Q| with
+    eta = P - Q split into its cos and sin parts.
     """
 
     params: MdtParams
@@ -251,3 +254,31 @@ def finite_net_union_bound(model: FieldModel, params: MdtParams, u: float,
     point_term = m * j_count * component_bound(u / (2.0 * amp))
     lip_term = j_count * component_bound(u / (2.0 * mesh * lip))
     return float(min(1.0, point_term + lip_term))
+
+
+def net_bound_level(model: FieldModel, params: MdtParams, delta: float) -> float:
+    """Smallest u with finite_net_union_bound(model, params, u) <= delta,
+    to relative precision 1e-9; NumericError if u = 1e300 is not enough.
+
+    The bound is nonincreasing in u: u doubles from u_star until the
+    bound drops to delta, and geometric bisection narrows the bracket.
+    """
+    if not (0 < delta <= 1):
+        raise DomainError("delta must lie in (0, 1]")
+
+    def ok(u):
+        return finite_net_union_bound(model, params, u) <= delta
+
+    lo = hi = params.u_star
+    while not ok(hi):
+        lo, hi = hi, 2.0 * hi
+        if hi > 1e300:
+            raise NumericError("net bound never drops to delta",
+                               {"law": params.describe(), "delta": delta})
+    while hi / lo > 1 + 1e-9:
+        mid = math.sqrt(lo * hi)
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi

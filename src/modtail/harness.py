@@ -18,6 +18,15 @@ the allocator hand memory back and fault it in again every chunk.  Each
 replication draws one block of n_max draws and every S_n on the n-grid
 is a prefix sum of it; the tails share draws, so the DKW level is split
 over the n-grid.
+
+The field supremum calls no libm trig, and works in blocks in one
+workspace too.  A phase word r gives q = i 2**-12 + j 2**-53 exactly,
+with i = r >> 52 and j = ((r >> 11) & (2**41 - 1)) + 1: the cos and sin
+of 2 pi i / 4096 come from a table, those of 2 pi j 2**-53 <= 1.54e-3
+from series whose truncation error is below 1e-19, and angle addition
+joins them (distribution.rotate_by_words).  The max over the z-grid
+runs over half of it: the grid k / M is symmetric under z -> 1 - z, so
+it is the max of |P| + |Q| over k <= M / 2 (see simulate_field).
 """
 
 from __future__ import annotations
@@ -33,7 +42,8 @@ import numpy as np
 
 from .bounds import TailCurve, c1_pessimistic, closed_u_min, q_bound_closed
 from .distribution import (_BLOCK, STREAM_BLOCK, MdtParams, quantile,
-                           sign_by_words, stream_words, word_uniforms)
+                           rotate_by_words, sign_by_words, stream_words,
+                           word_uniforms)
 from .entropy import FieldModel
 from .errors import DomainError, NumericError
 from ._version import __version__ as _version
@@ -66,9 +76,6 @@ class SimulationPlan:
             raise DomainError("n_grid must be strictly increasing positive ints")
         if self.reps < 1000:
             raise DomainError("reps must be >= 1000")
-
-    def total_draws(self) -> int:
-        return self.reps * self.n_grid[-1]
 
     def echo(self) -> Dict:
         return {"params": self.params.describe(), "n_grid": list(self.n_grid),
@@ -238,23 +245,28 @@ def simulate_field(model: FieldModel, plan: SimulationPlan) -> EmpiricalTailRepo
     its phase."""
     n_max, j_count = plan.n_grid[-1], model.n_components
     _check_budget(plan, n_max * j_count)
-    # Y_n(z) = sum_j w_j (A_j cos(2 pi j z) - B_j sin(2 pi j z)) / sqrt(n)
-    # with (A_j, B_j) the partial sums of xi cos(phase) and xi sin(phase)
-    angle = 2.0 * math.pi * np.outer(np.arange(1, j_count + 1), model.z_grid())
+    # Y_n(z) = P - Q and Y_n(1 - z) = P + Q, with P = sum_j w_j A_j
+    # cos(2 pi j z), Q = sum_j w_j B_j sin(2 pi j z) and (A_j, B_j) the
+    # partial sums of xi cos(phase) and xi sin(phase), over sqrt(n); the
+    # fold needs sin exactly 0 at z = 0 and z = 1/2
+    k = np.arange(model.resolution // 2 + 1)
+    angle = 2.0 * math.pi * np.outer(np.arange(1, j_count + 1), model.z_grid()[k])
     w = np.asarray(model.weights, dtype=float)[:, None]
-    trig = np.concatenate([w * np.cos(angle), -w * np.sin(angle)])  # (2J, M)
+    cos, sin = w * np.cos(angle), w * np.sin(angle)
+    sin[:, 2 * k % model.resolution == 0] = 0.0
     scale = 1.0 / np.sqrt(plan.n_grid)
 
     def statistic(words, m):
         words = words.reshape(2, m, n_max, j_count)
-        xi = _draws(plan.params, words[0])
-        phase = word_uniforms(words[1]) * (2.0 * math.pi)
-        parts = np.concatenate([xi * np.cos(phase), xi * np.sin(phase)], axis=2)
-        sums = _prefix_sums(parts, plan.n_grid).reshape(-1, 2 * j_count)
-        # row blocks keep each product's y in cache; one product over all
-        # rows gained nothing from a second thread
-        stat = np.concatenate([np.abs(sums[i:i + 1024] @ trig).max(axis=1)
-                               for i in range(0, len(sums), 1024)])
+        # xi sin(phase) over the amplitude words, xi cos(phase) over the
+        # phase words
+        rotate_by_words(_draws(plan.params, words[0]), words[1])
+        sums = _prefix_sums(words.view(np.float64).reshape(2 * m, n_max, j_count),
+                            plan.n_grid).reshape(2, -1, j_count)
+        # row blocks keep each product in cache
+        stat = np.concatenate([
+            (np.abs(sums[1, i:i + 1024] @ cos) + np.abs(sums[0, i:i + 1024] @ sin))
+            .max(axis=1) for i in range(0, sums.shape[1], 1024)])
         return _tail_counts(stat.reshape(m, -1) * scale, plan.u_grid)
 
     counts = _run(plan.seed, plan.reps, 2 * n_max * j_count, n_max,

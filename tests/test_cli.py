@@ -10,6 +10,7 @@ from modtail.bounds import c1_pessimistic
 from modtail.distribution import make_mdt
 from modtail.cli import main
 from modtail.config import RunConfig
+from modtail.entropy import finite_net_union_bound
 
 FAST_PLAN = """
 plan:
@@ -114,6 +115,27 @@ def test_entropy_command(tmp_path, cfg):
     payload = json.loads((out / "entropy.json").read_text())
     assert payload["condition_satisfied"] is True
     assert payload["entropic_integral"] == pytest.approx(4.0 / 3.0, rel=1e-8)
+
+
+def test_entropy_reports_where_the_net_bound_reaches_delta(tmp_path):
+    # the default u-grid ends where the union bound is still clamped at 1,
+    # so the output also names the u at which it drops to delta
+    levels = {}
+    for m in (16, 64):
+        path = tmp_path / f"m{m}.yaml"
+        path.write_text(f"entropy:\n  M: {m}\nconfidence:\n  delta: 0.002\n")
+        assert run(["entropy", "--config", str(path),
+                    "--out", str(tmp_path / f"o{m}")]) == 0
+        payload = json.loads((tmp_path / f"o{m}" / "entropy.json").read_text())
+        assert payload["net_bound_delta"] == 0.002
+        u = payload["net_bound_u_at_delta"]
+        conf = RunConfig.load(str(path))
+        field, params = conf.field_model(), conf.params()
+        assert finite_net_union_bound(field, params, u) <= 0.002
+        assert finite_net_union_bound(field, params, u / 1.01) > 0.002
+        levels[m] = u
+    # a finer grid costs more points in the union bound
+    assert levels[64] > levels[16]
 
 
 def test_moments_command(tmp_path, cfg):

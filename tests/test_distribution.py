@@ -7,9 +7,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from modtail import distribution
 from modtail.distribution import (STREAM_BLOCK, MdtParams, make_mdt,
-                                  quantile, sample, sign_by_words,
-                                  stream_words, survival, tail_formula,
-                                  word_uniforms)
+                                  quantile, rotate_by_words, sample,
+                                  sign_by_words, stream_words, survival,
+                                  tail_formula, word_uniforms)
 from modtail.errors import DomainError, NumericError
 from modtail.harness import dkw_halfwidth
 from modtail.slowvary import (Constant, IterLogPower, LogPower, Product,
@@ -272,6 +272,25 @@ def test_word_decode():
     q = np.sort(word_uniforms(words))
     ecdf = np.arange(1, q.size + 1) / q.size
     assert np.max(np.abs(ecdf - q)) <= dkw_halfwidth(q.size, 1e-3)
+
+
+def test_rotation_by_words():
+    # 2**16 stream words (four blocks) and the edges: the smallest and
+    # largest word, and j = 2**41 - 1, whose + 1 carries into i
+    carry = ((2 ** 41 - 1) << 11) | (5 << 52) | 1
+    words = np.concatenate([stream_words(9, 0, 2 ** 16), np.array(
+        [0, 2 ** 64 - 1, carry], dtype=np.uint64)])
+    phase = word_uniforms(words) * (2.0 * math.pi)
+    cos, sin = rotate_by_words(np.ones(words.size), words.copy())
+    assert np.max(np.abs(cos - np.cos(phase))) <= 2e-15
+    assert np.max(np.abs(sin - np.sin(phase))) <= 2e-15
+    # x cos is written over the words and x sin over x
+    x = sample(CANONICAL, seed=4, n=words.size)
+    w, xs = words.copy(), x.copy()
+    x_cos, x_sin = rotate_by_words(xs, w)
+    assert np.shares_memory(x_cos, w) and x_sin is xs
+    assert np.all(np.abs(x_cos - x * np.cos(phase)) <= 4e-15 * np.abs(x))
+    assert np.all(np.abs(x_sin - x * np.sin(phase)) <= 4e-15 * np.abs(x))
 
 
 def test_sample_mean_near_zero():

@@ -50,9 +50,7 @@ def test_budget_guard():
         simulate(plan)
     # the guard counts the draws made: one block of n_max = 4 draws per
     # replication, times the J = 2 components for the field
-    plan = small_plan(budget=80000)
-    assert plan.total_draws() == 80000
-    simulate(plan)
+    simulate(small_plan(budget=80000))
     with pytest.raises(DomainError):
         simulate(small_plan(budget=79999))
     model = FieldModel(PARAMS, (1.0, 0.5), resolution=4)
@@ -171,6 +169,23 @@ def test_golden_draws(beta, gamma, v, digest):
     for threads in (1, 2):
         report = simulate(make_plan(params, seed=5, reps=1000, u_points=16,
                                     threads=threads))
+        assert report.counts.dtype == np.int64
+        assert hashlib.sha256(report.counts.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("resolution,digest", [
+    (1, "05e10066fd4c29e573a32ac2f7ad703ebe5ba8f00c6191d2d31fe1ae1c195ef0"),
+    (7, "a3563ee1499728b71552b3323cb81ebd95f7e657d36c847ad8f6e2d03896f52c"),
+    (16, "50ce74f7d05aa3d9a5f887fdbefc833e4a806e9b8c7260e03e5f6885aa6f9c1d")])
+def test_golden_field(resolution, digest):
+    # the field's exceedance counts, pinned by digest for the single
+    # point, an odd and an even grid: a change to the field kernel must
+    # keep every count
+    model = FieldModel(PARAMS, (1.0, 0.5, 0.25), resolution=resolution)
+    for threads in (1, 2):
+        report = simulate_field(model, make_plan(
+            PARAMS, seed=5, n_grid=(1, 2, 4), reps=2000,
+            u_grid=np.geomspace(4.0, 50.0, 12), threads=threads))
         assert report.counts.dtype == np.int64
         assert hashlib.sha256(report.counts.tobytes()).hexdigest() == digest
 
