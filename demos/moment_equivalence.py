@@ -16,7 +16,7 @@ print("law:", params.describe())
 
 grid = default_p_grid(params, n=12, p_lo=params.beta - 0.5)
 curve = MomentCurve.compute(params, grid)
-print(f"\n{'p':>10} {'E|xi|^p':>14} {'quad err':>10}")
+print(f"\n{'p':>10} {'E|xi|^p':>14} {'rule err':>10}")
 for p, m, e in zip(curve.p_grid, curve.values, curve.errors):
     print(f"{p:10.5f} {m:14.4e} {e:10.1e}")
 
@@ -33,6 +33,6 @@ simple = make_mdt(4.0, 0.0)
 p = 3.0
 exact = simple.u_star ** p * simple.beta / (simple.beta - p)
 print(f"\nclosed-form check (beta=4, gamma=0, p=3):")
-print(f"  quadrature {moment_from_tail(simple, p):.10f}")
+print(f"  fixed rule {moment_from_tail(simple, p):.10f}")
 print(f"  exact      {exact:.10f}  (u_star^p * beta/(beta-p), e^3 * 4)")
 assert math.isclose(moment_from_tail(simple, p), exact, rel_tol=1e-8)

@@ -36,26 +36,30 @@ _EE = math.e ** math.e
 ROSENTHAL_C0 = 2.0
 
 
-def rosenthal_constant(p: float) -> float:
+def rosenthal_constant(p):
     """(ROSENTHAL_C0 * p / ln(max(p, 2)))**p, the known growth order of
-    optimal Rosenthal constants."""
-    if p < 2:
+    optimal Rosenthal constants.  Vectorized over p >= 2."""
+    p = np.asarray(p, dtype=float)
+    if np.any(p < 2):
         raise DomainError("rosenthal_constant requires p >= 2")
-    return (ROSENTHAL_C0 * p / math.log(max(p, 2.0))) ** p
+    out = (ROSENTHAL_C0 * p / np.log(np.maximum(p, 2.0))) ** p
+    return float(out) if out.ndim == 0 else out
 
 
-def rosenthal_sum_moment(params: MdtParams, p: float, moment2: float,
-                         momentp: float) -> float:
+def rosenthal_sum_moment(params: MdtParams, p, moment2: float, momentp):
     """Bound on sup_n E|S_n|**p from the variance and p-th moment terms.
+    Vectorized over p and momentp.
 
     The n**(1 - p/2) factor of the raw inequality is <= 1 for p >= 2, so
     the bound is n-free.
     """
-    if not (2 <= p <= params.beta - DELTA_P):
+    p = np.asarray(p, dtype=float)
+    if not np.all((2 <= p) & (p <= params.beta - DELTA_P)):
         raise DomainError(f"p must lie in [2, beta - {DELTA_P}], got {p}")
-    if moment2 <= 0 or momentp <= 0:
+    if moment2 <= 0 or np.any(np.asarray(momentp) <= 0):
         raise DomainError("moments must be positive")
-    return rosenthal_constant(p) * max(moment2 ** (p / 2.0), momentp)
+    out = rosenthal_constant(p) * np.maximum(moment2 ** (p / 2.0), momentp)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,9 +77,8 @@ class SumMomentEnvelope:
             p_grid = default_p_grid(params, n=17)
         p_grid = np.asarray(p_grid, dtype=float)
         m2 = moment_from_tail(params, 2.0)
-        singles = np.array([moment_from_tail(params, p) for p in p_grid])
-        env = np.array([rosenthal_sum_moment(params, p, m2, m)
-                        for p, m in zip(p_grid, singles)])
+        singles = moment_from_tail(params, p_grid)
+        env = rosenthal_sum_moment(params, p_grid, m2, singles)
         return cls(params=params, p_grid=p_grid, single_moments=singles, envelope=env)
 
 

@@ -27,6 +27,24 @@ def test_rosenthal_constant_values():
         rosenthal_constant(1.5)
 
 
+def test_rosenthal_vectorized_over_p():
+    params = make_mdt(4.0, 0.5, LogPower(1.0))
+    p = np.array([2.0, 2.7, 3.5])
+    m = moment_from_tail(params, p)
+    env = rosenthal_sum_moment(params, p, m[0], m)
+    assert type(rosenthal_sum_moment(params, 2.7, m[0], m[1])) is float
+    assert type(rosenthal_constant(2.7)) is float
+    for i in range(p.size):
+        assert env[i] == rosenthal_sum_moment(params, p[i], m[0], m[i])
+        assert rosenthal_constant(p)[i] == rosenthal_constant(p[i])
+    with pytest.raises(DomainError):
+        rosenthal_constant(np.array([2.0, 1.5]))
+    with pytest.raises(DomainError):
+        rosenthal_sum_moment(params, np.array([2.0, 3.9999]), m[0], m[:2])
+    with pytest.raises(DomainError):
+        rosenthal_sum_moment(params, p, m[0], np.array([m[0], -1.0, m[2]]))
+
+
 def test_rosenthal_dominates_single_draw():
     # at n = 1 the sum moment is the single moment, so the envelope must
     # sit above it for every p

@@ -64,6 +64,13 @@ def test_entropy_integral_divergent():
     assert entropy_integral(model, 4.0, 0.0) == math.inf
 
 
+@pytest.mark.parametrize("beta", [-4.0, 1.0, 2.0])
+def test_entropy_integral_rejects_beta_at_most_two(beta):
+    model = MetricEntropyModel.from_holder(d=1, alpha=1.0)
+    with pytest.raises(DomainError):
+        entropy_integral(model, beta, 0.0)
+
+
 def test_condition_iff_finite_integral():
     rng = np.random.default_rng(99)
     for _ in range(200):

@@ -1,14 +1,20 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from numpy.polynomial.legendre import leggauss
+from scipy.integrate import quad
 
-from modtail.distribution import make_mdt, sample
-from modtail.errors import DomainError
-from modtail.moments import (MomentCurve, default_p_grid, moment_from_tail,
-                             natural_psi, theta, theta_regime,
-                             verify_equivalence, THETA_MIN)
-from modtail.slowvary import LogPower
+from modtail import moments
+from modtail.distribution import _log_tail_y, make_mdt, sample
+from modtail.errors import DomainError, NumericError
+from modtail.moments import (DELTA_P, MomentCurve, default_p_grid,
+                             moment_from_tail, natural_psi, theta,
+                             theta_regime, verify_equivalence, THETA_MIN)
+from modtail.slowvary import (Constant, IterLogPower, LogPower, Product,
+                              sv_eval)
 
 E = math.e
 
@@ -107,6 +113,9 @@ def test_moment_curve_log_convex_and_monotone():
     (4.0, 0.0, None),
     (3.0, -1.0, None),
     (3.0, -2.0, LogPower(-1.0)),
+    # near beta = 2 the default grid is clipped to start at p = 2
+    (2.3, 0.0, None),
+    (2.05, 0.0, None),
 ])
 def test_equivalence_canonical_laws(beta, gamma, v):
     params = make_mdt(beta, gamma) if v is None else make_mdt(beta, gamma, v)
@@ -127,3 +136,76 @@ def test_default_p_grid_respects_gap():
     grid = default_p_grid(params)
     assert grid.min() >= 2.0
     assert grid.max() <= params.beta - 1e-3 + 1e-12
+
+
+def test_default_p_grid_rejects_empty_interval():
+    # beta - DELTA_P < 2: no p in [2, beta - DELTA_P]
+    with pytest.raises(DomainError, match="empty p-grid interval"):
+        default_p_grid(make_mdt(2.0005, 0.0))
+
+
+def quad_moment(params, p):
+    """Oracle: E|xi|**p by adaptive quadrature of the tail integral on
+    s = (beta - p) ln u, split at max(1, 10 a)."""
+    y_star = math.log(params.u_star)
+    gap = params.beta - p
+    a = gap * y_star
+
+    def integrand(s):
+        return math.exp(-s) * s ** params.gamma * sv_eval(params.v, s / gap)
+
+    mid = max(1.0, 10.0 * a)
+    total = sum(quad(integrand, lo, hi, epsrel=1e-10, epsabs=0.0, limit=400)[0]
+                for lo, hi in ((a, mid), (mid, np.inf)))
+    return (params.u_star ** p + p / math.exp(_log_tail_y(params, y_star))
+            * gap ** (-params.gamma - 1.0) * total)
+
+
+SV_FACTOR = st.one_of(st.builds(Constant, st.floats(0.2, 5.0)),
+                      st.builds(LogPower, st.floats(-3.0, 3.0)),
+                      st.builds(IterLogPower, st.floats(-3.0, 3.0)))
+SV_TREE = st.lists(SV_FACTOR, min_size=1, max_size=3).map(
+    lambda factors: functools.reduce(Product, factors))
+
+
+@settings(max_examples=40, deadline=None)
+@given(beta=st.floats(2.01, 8.0),
+       gamma=st.one_of(st.just(-1.0), st.floats(-6.0, 6.0)),
+       v=SV_TREE,
+       fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5))
+@example(beta=2.01, gamma=6.0, v=LogPower(2.0), fracs=[0.0, 0.5, 1.0])
+@example(beta=2.01, gamma=-6.0, v=LogPower(-1.0), fracs=[0.0, 1.0])
+@example(beta=3.0, gamma=-1.0, v=Constant(1.0), fracs=[0.0, 0.9, 1.0])
+@example(beta=6.0, gamma=-4.0, v=IterLogPower(-2.0), fracs=[0.1, 1.0])
+@example(beta=8.0, gamma=6.0, v=Product(LogPower(3.0), IterLogPower(-3.0)),
+         fracs=[0.0, 1.0])
+def test_batched_moments_match_quadrature(beta, gamma, v, fracs):
+    params = make_mdt(beta, gamma, v)
+    p = np.array(fracs) * (beta - DELTA_P)
+    got = moment_from_tail(params, p)
+    assert got.shape == p.shape
+    want = [quad_moment(params, pp) for pp in p]
+    np.testing.assert_allclose(got, want, rtol=1e-8, atol=0.0)
+
+
+def test_moment_shapes():
+    params = make_mdt(3.0, -2.0, LogPower(-1.0))
+    assert type(moment_from_tail(params, 2.5)) is float
+    val, err = moment_from_tail(params, 2.5, return_error=True)
+    assert type(val) is float and type(err) is float
+    grid = np.array([[0.0, 2.0], [2.5, 2.9]])
+    vals, errs = moment_from_tail(params, grid, return_error=True)
+    assert vals.shape == errs.shape == grid.shape
+    assert vals[0, 0] == 1.0
+    assert vals[1, 0] == pytest.approx(moment_from_tail(params, 2.5), rel=1e-15)
+
+
+def test_moment_accuracy_miss_names_p(monkeypatch):
+    # one panel of a 2-node rule against 4 nodes cannot reach the target
+    monkeypatch.setattr(moments, "_PANELS", 1)
+    monkeypatch.setattr(moments, "_RULE", [leggauss(2), leggauss(4)])
+    params = make_mdt(3.0, 0.5, LogPower(1.0))
+    with pytest.raises(NumericError) as info:
+        moment_from_tail(params, np.array([2.0, 2.5, 2.9]))
+    assert info.value.diagnostics["p"] in (2.0, 2.5, 2.9)
+    assert info.value.diagnostics["law"] == params.describe()
