@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import DomainError, NumericError
-from .slowvary import ONE, Constant, SlowlyVarying, format_sv, sv_log
+from .slowvary import ONE, SlowlyVarying, format_sv, sv_log
 
 _E = math.e
 
@@ -269,6 +269,11 @@ def _f_tol(q: np.ndarray) -> np.ndarray:
     return 1e-13 / np.maximum(q, 1e-13 / 0.3) + 3e-15
 
 
+def _pure_power(params: MdtParams) -> bool:
+    """gamma = 0 and a constant V: the law whose quantile has a closed form."""
+    return params.gamma == 0 and params.v.a == 0 and params.v.b == 0
+
+
 def _quantile_block(params: MdtParams, q: np.ndarray, out: np.ndarray):
     """quantile on one block, written to out.  Returns a bound on the
     largest residual and a q; whenever the bound misses _RESIDUAL_TOL they
@@ -279,7 +284,7 @@ def _quantile_block(params: MdtParams, q: np.ndarray, out: np.ndarray):
     y_star = math.log(params.u_star)
     target = np.log(q)
     f_max = math.inf
-    if params.gamma == 0 and isinstance(params.v, Constant):
+    if _pure_power(params):
         y = np.divide(target, -params.beta, out=out)
         y += y_star
         target += _log_tail_y(params, y_star)

@@ -150,7 +150,7 @@ class EquivalenceReport:
     band: float
     passed: bool
     limit_constant_observed: float   # r at the grid point closest to beta
-    limit_constant_gamma: Optional[float]  # Gamma(gamma+1), regime A only
+    limit_constant_predicted: Optional[float]  # the limit of r, regime A only
 
 
 def verify_equivalence(params: MdtParams, p_grid: Optional[Sequence[float]] = None,
@@ -163,10 +163,12 @@ def verify_equivalence(params: MdtParams, p_grid: Optional[Sequence[float]] = No
     thetas = theta(params, p_grid)
     ratios = moments / thetas
     spread = float(ratios.max() / ratios.min())
-    gamma_const = (math.gamma(params.gamma + 1.0)
-                   if theta_regime(params.gamma) == "A" else None)
+    # theta omits the moment's factor p / tail(y_star), so r -> beta Gamma(gamma+1) / tail(y_star)
+    predicted = (params.beta * math.gamma(params.gamma + 1.0)
+                 * math.exp(-_log_tail_y(params, math.log(params.u_star)))
+                 if theta_regime(params.gamma) == "A" else None)
     return EquivalenceReport(
         params=params, p_grid=p_grid, moments=moments, thetas=thetas,
         ratios=ratios, band=band, passed=spread <= band,
         limit_constant_observed=float(ratios[np.argmax(p_grid)]),
-        limit_constant_gamma=gamma_const)
+        limit_constant_predicted=predicted)

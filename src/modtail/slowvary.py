@@ -1,15 +1,13 @@
-"""Closed grammar of slowly varying correction factors.
+"""Slowly varying correction factors, in one canonical form.
 
 The tail formulas all carry a slowly varying factor ``V``.  Instead of
-accepting arbitrary callables we work with a small closed grammar
-
-    Constant(c) | LogPower(r) | IterLogPower(r) | Product(left, right)
-
-whose members are positive on the whole half-line and provably slowly
-varying.  LogPower(r) evaluates as ``(1 + ln(1+y))**r`` and
-IterLogPower(r) as ``(1 + ln(1 + ln(1+y)))**r``; the inner ``1 + ln(1+.)``
-regularization keeps every factor finite and positive at y = 0 without
-changing the behavior at infinity.
+arbitrary callables we take products of a closed grammar of atoms:
+Constant(c), LogPower(r) = ``(1 + L1)**r`` and IterLogPower(r) =
+``(1 + L2)**r`` with L1 = ln(1+y) and L2 = ln(1+L1), each positive on the
+half-line (the inner ``1 + ln(1+.)`` keeps it finite at y = 0) and slowly
+varying.  Every product is ``V = c (1 + L1)**a (1 + L2)**b``, so the atoms
+and Product build that one value, ``SlowlyVarying(ln c, a, b)``: equal
+factors compare and hash equal however they were written.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -25,39 +22,37 @@ from .errors import DomainError
 
 
 @dataclass(frozen=True)
-class Constant:
-    c: float
+class SlowlyVarying:
+    """V(y) = exp(ln_c) (1 + L1)**a (1 + L2)**b, L1 = ln(1+y), L2 = ln(1+L1)."""
+
+    ln_c: float = 0.0
+    a: float = 0.0
+    b: float = 0.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.c) and self.c > 0):
-            raise DomainError(f"Constant factor must be positive and finite, got {self.c}")
+        if not all(math.isfinite(x) for x in (self.ln_c, self.a, self.b)):
+            raise DomainError(f"slowly varying factor must be finite, got {self}")
 
 
-@dataclass(frozen=True)
-class LogPower:
-    r: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.r):
-            raise DomainError(f"LogPower exponent must be finite, got {self.r}")
+ONE = SlowlyVarying()
 
 
-@dataclass(frozen=True)
-class IterLogPower:
-    r: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.r):
-            raise DomainError(f"IterLogPower exponent must be finite, got {self.r}")
+def Constant(c: float) -> SlowlyVarying:
+    if not (np.isfinite(c) and c > 0):
+        raise DomainError(f"Constant factor must be positive and finite, got {c}")
+    return SlowlyVarying(ln_c=math.log(c))
 
 
-@dataclass(frozen=True)
-class Product:
-    left: "SlowlyVarying"
-    right: "SlowlyVarying"
+def LogPower(r: float) -> SlowlyVarying:
+    return SlowlyVarying(a=float(r))
 
 
-SlowlyVarying = Union[Constant, LogPower, IterLogPower, Product]
+def IterLogPower(r: float) -> SlowlyVarying:
+    return SlowlyVarying(b=float(r))
+
+
+def Product(left: SlowlyVarying, right: SlowlyVarying) -> SlowlyVarying:
+    return SlowlyVarying(left.ln_c + right.ln_c, left.a + right.a, left.b + right.b)
 
 
 def sv_eval(v: SlowlyVarying, y):
@@ -67,29 +62,16 @@ def sv_eval(v: SlowlyVarying, y):
         raise DomainError("sv_eval requires finite y")
     if np.any(y < 0):
         raise DomainError("sv_eval requires y >= 0")
-    out = _eval(v, y)
+    out = np.exp(np.broadcast_to(sv_log(v, y), y.shape))
     return float(out) if out.ndim == 0 else out
-
-
-def _eval(v, y):
-    if isinstance(v, Constant):
-        return np.full_like(y, v.c)
-    if isinstance(v, LogPower):
-        return (1.0 + np.log1p(y)) ** v.r
-    if isinstance(v, IterLogPower):
-        return (1.0 + np.log1p(np.log1p(y))) ** v.r
-    if isinstance(v, Product):
-        return _eval(v.left, y) * _eval(v.right, y)
-    raise TypeError(f"not a SlowlyVarying node: {v!r}")
 
 
 def sv_log(v: SlowlyVarying, y, deriv: bool = False):
     """ln V(y) for y >= 0, or with deriv the pair (ln V, d/dy ln V).
 
-    Every tree is V = c (1 + L1)**a (1 + L2)**b with L1 = ln(1+y) and
-    L2 = ln(1+L1), so ln V takes no pow and the derivative shares L1, L2.
+    ln V takes no pow, and the derivative shares L1 and L2.
     """
-    ln_c, a, b = _exponent_sums(v)
+    ln_c, a, b = v.ln_c, v.a, v.b
     if not (a or b):
         return (ln_c, 0.0) if deriv else ln_c
     l1 = np.log1p(y)
@@ -103,36 +85,21 @@ def sv_log(v: SlowlyVarying, y, deriv: bool = False):
     return out, (a + b / (1.0 + l2) if b else a) / ((1.0 + l1) * (1.0 + y))
 
 
-def _exponent_sums(v):
-    """(ln c, summed LogPower exponents, summed IterLogPower exponents)."""
-    if isinstance(v, Constant):
-        return math.log(v.c), 0.0, 0.0
-    if isinstance(v, LogPower):
-        return 0.0, v.r, 0.0
-    if isinstance(v, IterLogPower):
-        return 0.0, 0.0, v.r
-    c_l, lp_l, il_l = _exponent_sums(v.left)
-    c_r, lp_r, il_r = _exponent_sums(v.right)
-    return c_l + c_r, lp_l + lp_r, il_l + il_r
-
-
 def limit_at_infinity_is_zero(v: SlowlyVarying) -> bool:
     """Decide symbolically whether V(y) -> 0 as y -> infinity.
 
-    The limit is zero iff the total log-power exponent is negative, or is
+    The limit is zero iff the log-power exponent is negative, or is
     exactly zero with a negative iterated-log exponent.
     """
-    _, lp, il = _exponent_sums(v)
-    return lp < 0 or (lp == 0 and il < 0)
+    return v.a < 0 or (v.a == 0 and v.b < 0)
 
 
 _TOKEN = re.compile(r"^(c|lp|ilp)\(([^)]+)\)$")
-
-ONE = Constant(1.0)
+_ATOMS = {"c": Constant, "lp": LogPower, "ilp": IterLogPower}
 
 
 def parse_sv(expr: str) -> SlowlyVarying:
-    """Parse an expression like "c(1)*lp(2)*ilp(-1)" into a grammar tree.
+    """Parse an expression like "c(1)*lp(2)*ilp(-1)" into its factor.
 
     Factors: c(x) constant, lp(r) log power, ilp(r) iterated log power,
     joined by '*'.
@@ -140,7 +107,7 @@ def parse_sv(expr: str) -> SlowlyVarying:
     expr = expr.strip()
     if not expr:
         raise DomainError("empty slowly-varying expression")
-    tree = None
+    v = ONE
     for token in expr.split("*"):
         token = token.strip()
         m = _TOKEN.match(token)
@@ -151,17 +118,12 @@ def parse_sv(expr: str) -> SlowlyVarying:
             val = float(raw)
         except ValueError as exc:
             raise DomainError(f"bad number {raw!r} in factor {token!r}") from exc
-        node = {"c": Constant, "lp": LogPower, "ilp": IterLogPower}[kind](val)
-        tree = node if tree is None else Product(tree, node)
-    return tree
+        v = Product(v, _ATOMS[kind](val))
+    return v
 
 
 def format_sv(v: SlowlyVarying) -> str:
-    """Inverse of parse_sv (flattens products left-to-right)."""
-    if isinstance(v, Constant):
-        return f"c({v.c:g})"
-    if isinstance(v, LogPower):
-        return f"lp({v.r:g})"
-    if isinstance(v, IterLogPower):
-        return f"ilp({v.r:g})"
-    return f"{format_sv(v.left)}*{format_sv(v.right)}"
+    """The canonical string c(x)*lp(a)*ilp(b), unit factors left out, c(1) for V = 1."""
+    parts = [f"c({math.exp(v.ln_c):g})"] if v.ln_c else []
+    parts += [f"{name}({x:g})" for name, x in (("lp", v.a), ("ilp", v.b)) if x]
+    return "*".join(parts) or "c(1)"

@@ -15,7 +15,7 @@ from modtail.errors import DomainError
 from modtail.fenchel import GeneratingFunction, tail_from_gls
 from modtail.moments import moment_from_tail
 from modtail.harness import default_u_grid
-from modtail.slowvary import LogPower, parse_sv
+from modtail.slowvary import ONE, LogPower, parse_sv
 
 E = math.e
 EE = math.e ** math.e
@@ -186,6 +186,20 @@ def test_c1_pessimistic_cached_and_positive():
     a = c1_pessimistic(params)
     b = c1_pessimistic(make_mdt(4.0, 0.0))
     assert a == b and a > 0
+
+
+def test_equal_laws_are_one_law():
+    # V = lp(1)*lp(-1) is V = 1: the law equals the pure power law, hashes
+    # alike, shares its cache entries and its draws
+    v = parse_sv("lp(1)*lp(-1)")
+    assert v == ONE
+    plain, written = make_mdt(4.0, 0.0), make_mdt(4.0, 0.0, v)
+    assert written == plain and hash(written) == hash(plain)
+    c1_pessimistic.cache_clear()
+    c1_pessimistic(plain)
+    c1_pessimistic(written)
+    assert c1_pessimistic.cache_info().hits == 1
+    assert sample(written, 5, 4096).tobytes() == sample(plain, 5, 4096).tobytes()
 
 
 def test_curve_objects():

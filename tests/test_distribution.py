@@ -87,12 +87,17 @@ def test_quantile_pure_power_closed_form():
     assert rel.max() <= 1e-15
 
 
-def test_quantile_closed_form_matches_general_path():
-    # LogPower(0) is the constant 1, but it is not a Constant node, so this
-    # law goes through the inverse table and Newton
-    closed, general = make_mdt(4.0, 0.0), make_mdt(4.0, 0.0, LogPower(0.0))
+def test_quantile_closed_form_matches_general_path(monkeypatch):
+    # the pure power law once by its closed form, once through the inverse
+    # table and Newton, with the closed form switched off
+    params = make_mdt(4.0, 0.0)
     q = np.concatenate([np.linspace(1e-3, 1.0, 2001), np.geomspace(SMALLEST_Q, 1.0, 2001)])
-    assert np.allclose(quantile(general, q), quantile(closed, q), rtol=1e-12, atol=0)
+    closed = quantile(params, q)
+    assert "_inverse_table" not in vars(params)
+    monkeypatch.setattr(distribution, "_pure_power", lambda params: False)
+    general = quantile(params, q)
+    assert "_inverse_table" in vars(params)
+    assert np.allclose(general, closed, rtol=1e-12, atol=0)
 
 
 def test_quantile_subnormal_q_no_warning():

@@ -14,7 +14,7 @@ from modtail.moments import (DELTA_P, MomentCurve, default_p_grid,
                              moment_from_tail, natural_psi, theta,
                              theta_regime, verify_equivalence, THETA_MIN)
 from modtail.slowvary import (Constant, IterLogPower, LogPower, Product,
-                              sv_eval)
+                              parse_sv, sv_eval)
 
 E = math.e
 
@@ -126,9 +126,14 @@ def test_equivalence_canonical_laws(beta, gamma, v):
 
 
 def test_equivalence_reports_limit_constant():
-    report = verify_equivalence(make_mdt(4.0, 0.5))
-    assert report.limit_constant_gamma == pytest.approx(math.gamma(1.5))
-    assert report.limit_constant_observed > 0
+    # moment / theta tends to beta Gamma(gamma + 1) / tail(y_star), as
+    # theta leaves out the law's normalisation
+    for beta, gamma, v in ((4.0, 0.5, "c(1)"), (4.0, 0.0, "c(1)"), (3.0, 1.0, "c(2)"),
+                           (2.5, 0.5, "ilp(2)"), (4.0, 0.5, "lp(1)"), (6.0, 2.0, "c(1)")):
+        report = verify_equivalence(make_mdt(beta, gamma, parse_sv(v)))
+        assert report.limit_constant_predicted == pytest.approx(
+            report.limit_constant_observed, rel=0.01)
+    assert verify_equivalence(make_mdt(3.0, -2.0)).limit_constant_predicted is None
 
 
 def test_default_p_grid_respects_gap():
