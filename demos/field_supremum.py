@@ -4,9 +4,9 @@ The field is a small Fourier mix on [0, 1] with heavy-tailed amplitudes
 and uniform phases.  Two routes to a supremum bound are compared:
 
   * the entropy route: check the entropic-integral condition and apply
-    the generic uniform bound with a pessimistic constant;
-  * the union-bound route: a fully certified grid bound built from the
-    scalar closed form plus a Lipschitz excess term.
+    the generic uniform bound, whose constant no proved chain backs;
+  * the union-bound route: a grid bound built from the scalar closed
+    form plus a Lipschitz excess term.
 
 Both are then checked against a direct simulation of the grid supremum.
 """
@@ -45,5 +45,5 @@ for u, q in zip(report.u_grid, report.qhat):
 
 print(f"\nunion bound violations: {violations}/{report.u_grid.size} "
       f"(DKW half-width {report.dkw:.4f})")
-print("The entropy-route constant is pessimistic by design; the union")
-print("bound is the tight certified one on the grid.")
+print("The entropy-route constant is a heuristic scale of the scalar one;")
+print("the union bound is the tighter one on the grid.")

@@ -17,10 +17,9 @@ from .bounds import (SumMomentEnvelope, TailCurve, c1_pessimistic,
                      fenchel_curve_bound, lower_witness, q_bound_closed,
                      q_bound_fenchel, rosenthal_constant, rosenthal_sum_moment,
                      witness_curve)
-from .entropy import (FieldModel, HolderParams, MetricEntropyModel,
-                      check_entropy_condition, entropy_integral,
-                      finite_net_union_bound, natural_distance_bound,
-                      uniform_tail_bound)
+from .entropy import (FieldModel, MetricEntropyModel, check_entropy_condition,
+                      entropy_integral, finite_net_union_bound,
+                      natural_distance_bound, uniform_tail_bound)
 from .harness import (CertificationResult, EmpiricalTailReport, SimulationPlan,
                       certify, confidence_radius, coverage_miss_rate,
                       default_u_grid, dkw_halfwidth, make_plan, simulate,

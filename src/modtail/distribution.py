@@ -15,10 +15,9 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError, NumericError
-from .slowvary import ONE, SlowlyVarying, format_sv, sv_log
+from .slowvary import ONE, SlowlyVarying, format_num, format_sv, sv_log
 
 _E = math.e
 
@@ -62,7 +61,7 @@ class MdtParams:
             raise DomainError(f"u_star must be >= e, got {self.u_star}")
 
     def describe(self) -> str:
-        return (f"beta={self.beta:g} gamma={self.gamma:g} "
+        return (f"beta={format_num(self.beta)} gamma={format_num(self.gamma)} "
                 f"V={format_sv(self.v)} u_star={self.u_star:.12g}")
 
     @cached_property
@@ -111,8 +110,8 @@ def _default_y_star(probe: MdtParams) -> float:
         if i + 1 >= ys.size:
             raise NumericError("tail formula still increasing at the scan edge",
                                {"y_max": float(ys[-1])})
-        y0 = brentq(lambda y: _log_tail_y(probe, y, slope=True)[1], ys[i], ys[i + 1],
-                    xtol=1e-12, rtol=1e-14)
+        y0 = _bisect(lambda y: _log_tail_y(probe, y, slope=True)[1] <= 0,
+                     float(ys[i]), float(ys[i + 1]), 1e-15)
     if _log_tail_y(probe, y0) <= 0:
         return max(1.0, y0)
     # the peak value exceeds 1: activate where the formula drops back to 1
@@ -121,7 +120,22 @@ def _default_y_star(probe: MdtParams) -> float:
         y_hi *= 2.0
         if y_hi > 1e6:
             raise NumericError("tail formula never drops below 1", {"y": y_hi})
-    return brentq(lambda y: _log_tail_y(probe, y), y0, y_hi, xtol=1e-12, rtol=1e-14)
+    return _bisect(lambda y: _log_tail_y(probe, y) <= 0, y0, y_hi, 1e-15)
+
+
+def _bisect(ok, lo: float, hi: float, rel: float) -> float:
+    """Geometric bisection of a bracket 0 < lo <= hi with ok(lo) false
+    and ok(hi) true, until hi / lo <= 1 + rel or the midpoint is an end.
+    Returns hi, the side where ok holds."""
+    while hi / lo > 1 + rel:
+        mid = math.sqrt(lo * hi)
+        if mid in (lo, hi):
+            break
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def _validate_activation(params: MdtParams) -> None:

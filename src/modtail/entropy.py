@@ -1,16 +1,15 @@
 """Metric entropy, the entropic integral, and uniform bounds for fields.
 
-The entropy side: a covering-number model N(eps) on (0, C5], with a
-Hoelder specialization N(eps) = C10 * eps**(-d/alpha).  The entropic
-integral int_0^C5 N(eps)**((gamma+1)/beta) d eps decides whether a
-supremum over the index set admits the same closed-form tail shape as a
-single coordinate.  It is a power integral, in closed form, for a
-Hoelder model, and adaptive quadrature for a generic one.
+The entropy side: the Hoelder covering model N(eps) = C10 * eps**(-d/alpha)
+on (0, C5].  The entropic integral int_0^C5 N(eps)**((gamma+1)/beta) d eps
+decides whether a supremum over the index set admits the same
+closed-form tail shape as a single coordinate; for this model it is a
+power integral, in closed form.
 
 The field side: a concrete reference random field on [0, 1], a finite
 Fourier mix of independent heavy-tailed amplitudes with uniform phases.
-It has computable Lipschitz envelopes, so a grid union bound gives a
-fully certified tail bound for the grid-sampled supremum.
+It has computable Lipschitz envelopes, which a grid union bound turns
+into a tail bound for the supremum.
 """
 
 from __future__ import annotations
@@ -18,13 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from .bounds import c1_pessimistic, closed_u_min, q_bound_closed
-from .distribution import MdtParams
+from .distribution import MdtParams, _bisect
 from .errors import DomainError, NumericError
 from .fenchel import GeneratingFunction, gls_norm_from_moments
 from .moments import MomentCurve, default_p_grid
@@ -34,9 +32,13 @@ _E = math.e
 
 
 @dataclass(frozen=True)
-class HolderParams:
+class MetricEntropyModel:
+    """Hoelder covering numbers N(eps) = c10 * eps**(-d/alpha) for eps in
+    (0, diameter]."""
+
     d: int
     alpha: float
+    diameter: float = 1.0                 # C5
     c10: float = 1.0
 
     def __post_init__(self):
@@ -44,38 +46,22 @@ class HolderParams:
             raise DomainError("dimension d must be >= 1")
         if not (0 < self.alpha <= 1):
             raise DomainError("alpha must lie in (0, 1]")
-        if self.c10 <= 0:
-            raise DomainError("Hoelder constant c10 must be positive")
-
-
-@dataclass(frozen=True, eq=False)
-class MetricEntropyModel:
-    """Covering numbers N(eps) for eps in (0, diameter]."""
-
-    diameter: float                       # C5
-    covering: Callable[[np.ndarray], np.ndarray]
-    holder: Optional[HolderParams] = None
-
-    def __post_init__(self):
         if self.diameter <= 0:
             raise DomainError("diameter must be positive")
+        if self.c10 <= 0:
+            raise DomainError("Hoelder constant c10 must be positive")
 
     @classmethod
     def from_holder(cls, d: int, alpha: float, diameter: float = 1.0,
                     c10: float = 1.0) -> "MetricEntropyModel":
-        hp = HolderParams(d=d, alpha=alpha, c10=c10)
-
-        def covering(eps):
-            return c10 * np.asarray(eps, dtype=float) ** (-d / alpha)
-
-        return cls(diameter=diameter, covering=covering, holder=hp)
+        return cls(d, alpha, diameter, c10)
 
 
 def check_entropy_condition(d: int, alpha: float, beta: float, gamma: float) -> bool:
     """True iff beta / (gamma + 1) > d / alpha (strict)."""
     if gamma <= -1:
         raise DomainError("entropy condition requires gamma > -1")
-    HolderParams(d=d, alpha=alpha)
+    MetricEntropyModel(d, alpha)
     if beta <= 2:
         raise DomainError("beta must be > 2")
     return beta / (gamma + 1.0) > d / alpha
@@ -84,8 +70,8 @@ def check_entropy_condition(d: int, alpha: float, beta: float, gamma: float) -> 
 def entropy_integral(model: MetricEntropyModel, beta: float, gamma: float) -> float:
     """int_0^C5 N(eps)**((gamma+1)/beta) d eps; math.inf when divergent.
 
-    For a Hoelder model N = C10 eps**(-d/alpha) the integrand is
-    C10**e1 eps**(-e0), e0 = e1 d / alpha, so the integral is
+    With N = C10 eps**(-d/alpha) the integrand is C10**e1 eps**(-e0),
+    e1 = (gamma+1)/beta and e0 = e1 d / alpha, so the integral is
     C10**e1 C5**(1-e0) / (1-e0) when e0 < 1 and diverges otherwise.
     """
     if gamma <= -1:
@@ -93,24 +79,10 @@ def entropy_integral(model: MetricEntropyModel, beta: float, gamma: float) -> fl
     if beta <= 2:
         raise DomainError("entropic integral requires beta > 2")
     e1 = (gamma + 1.0) / beta
-    c5 = model.diameter
-    hp = model.holder
-    if hp is not None:
-        e0 = e1 * hp.d / hp.alpha
-        if e0 >= 1.0:
-            return math.inf
-        return hp.c10 ** e1 * c5 ** (1.0 - e0) / (1.0 - e0)
-    # generic model: probe the small-eps growth before integrating
-    probes = c5 * 10.0 ** (-np.arange(2, 13, dtype=float))
-    gvals = np.asarray(model.covering(probes), dtype=float) ** e1
-    mass = gvals * probes
-    if mass[-1] > 1.05 * mass[0]:
+    e0 = e1 * model.d / model.alpha
+    if e0 >= 1.0:
         return math.inf
-    val, err = quad(lambda eps: float(model.covering(eps)) ** e1, 0.0, c5,
-                    epsrel=1e-8, epsabs=0.0, limit=400)
-    if not np.isfinite(val):
-        return math.inf
-    return float(val)
+    return model.c10 ** e1 * model.diameter ** (1.0 - e0) / (1.0 - e0)
 
 
 @dataclass(frozen=True)
@@ -187,9 +159,10 @@ def uniform_tail_bound(model: MetricEntropyModel, params: MdtParams, u,
                        c6: Optional[float] = None):
     """Tail bound for the supremum of the normalized field sums.
 
-    Shape u**(-beta) (ln u)**(gamma+1) V(ln u) with a constant that, in
-    pessimistic mode, scales the scalar constant by the entropic mass
-    (1 + I/C5)**beta.
+    Shape u**(-beta) (ln u)**(gamma+1) V(ln u).  Unless c6 is given, the
+    constant is the scalar chain constant c1_pessimistic scaled by the
+    entropic mass (1 + I/C5)**beta; no proved chain links that product
+    to the field supremum, so it is a heuristic constant.
     """
     if params.gamma <= -1:
         raise DomainError("uniform_tail_bound requires gamma > -1")
@@ -207,26 +180,21 @@ def uniform_tail_bound(model: MetricEntropyModel, params: MdtParams, u,
     return float(out) if out.ndim == 0 else out
 
 
-def finite_net_union_bound(model: FieldModel, params: MdtParams, u: float,
-                           net_size: Optional[int] = None,
-                           c1: Optional[float] = None) -> float:
-    """Certified bound for the supremum via an M-point grid union bound.
+def finite_net_union_bound(model: FieldModel, params: MdtParams, u: float) -> float:
+    """Bound for the supremum via an M-point grid union bound.
 
-    P(sup > u) <= M * P(one coordinate > u/2) + P(Lipschitz excess), each
-    probability bounded through the scalar closed-form sum bound; every
-    step is a true inequality, so the output certifies the grid-sampled
-    supremum as well.
+    P(sup > u) <= P(grid max > u/2) + P(Lipschitz excess > u/2), each a
+    union over the J components of q_bound_closed with c1_pessimistic.
+    Two steps lack a justification, as both apply that scalar sum bound
+    to sums whose summands are not draws of the law: the point term to a
+    component's normalized sum of xi cos(2 pi j z + U), and the Lipschitz
+    term to the modulus of its normalized sum of xi exp(i U), which sets
+    the component's Lipschitz constant.
     """
-    m = model.resolution if net_size is None else int(net_size)
-    if m < 1:
-        raise DomainError("net size must be >= 1")
     if u <= 0:
         raise DomainError("u must be positive")
-    if c1 is None:
-        c1 = c1_pessimistic(params)
-    j_count = model.n_components
-    amp = model.amp_sum
-    lip = model.lip_sum
+    c1 = c1_pessimistic(params)
+    m, j_count = model.resolution, model.n_components
     mesh = 1.0 / m
 
     def component_bound(threshold: float) -> float:
@@ -236,8 +204,8 @@ def finite_net_union_bound(model: FieldModel, params: MdtParams, u: float,
             return 1.0
         return float(q_bound_closed(params, threshold, c=c1))
 
-    point_term = m * j_count * component_bound(u / (2.0 * amp))
-    lip_term = j_count * component_bound(u / (2.0 * mesh * lip))
+    point_term = m * j_count * component_bound(u / (2.0 * model.amp_sum))
+    lip_term = j_count * component_bound(u / (2.0 * mesh * model.lip_sum))
     return float(min(1.0, point_term + lip_term))
 
 
@@ -260,10 +228,4 @@ def net_bound_level(model: FieldModel, params: MdtParams, delta: float) -> float
         if hi > 1e300:
             raise NumericError("net bound never drops to delta",
                                {"law": params.describe(), "delta": delta})
-    while hi / lo > 1 + 1e-9:
-        mid = math.sqrt(lo * hi)
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _bisect(ok, lo, hi, 1e-9)

@@ -35,7 +35,6 @@ class GeneratingFunction:
     b: float
     fn: Callable[[np.ndarray], np.ndarray]
     provenance: str = "custom-grid"
-    delta: float = DELTA_P
 
     def __post_init__(self):
         if self.b <= 2:
@@ -46,7 +45,7 @@ class GeneratingFunction:
 
     @property
     def p_max(self) -> float:
-        return self.b - self.delta
+        return self.b - DELTA_P
 
     @classmethod
     def from_theta(cls, params: MdtParams) -> "GeneratingFunction":
@@ -80,7 +79,7 @@ def _refine_grid(psi: GeneratingFunction, n: int = 256) -> np.ndarray:
     """Grid on [2, b - delta]: geometrically refined toward b, where the
     natural envelopes steepen, plus a uniform component so interpolated
     generating functions are resolved everywhere."""
-    gaps = np.geomspace(psi.delta, psi.b - 2.0, n)
+    gaps = np.geomspace(DELTA_P, psi.b - 2.0, n)
     geo = np.clip(psi.b - gaps, 2.0, psi.p_max)
     uni = np.linspace(2.0, psi.p_max, 64)
     return np.unique(np.concatenate([geo, uni]))

@@ -41,7 +41,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .bounds import TailCurve, c1_pessimistic, closed_u_min, q_bound_closed
-from .distribution import (_BLOCK, STREAM_BLOCK, MdtParams, quantile,
+from .distribution import (_BLOCK, STREAM_BLOCK, MdtParams, _bisect, quantile,
                            rotate_by_words, sign_by_words, stream_words,
                            word_uniforms)
 from .entropy import FieldModel
@@ -392,16 +392,9 @@ def confidence_radius(params: MdtParams, n: int, delta: float,
     if i == 0:
         return ConfidenceRadius(radius=v_min / sqn, delta=delta, n=n,
                                 attained=True, constant=c_val, search_range=rng)
-    lo, hi = v_grid[i - 1], v_grid[i]
-    for _ in range(80):
-        mid = math.sqrt(lo * hi)
-        if q_bound_closed(params, mid, c=c_val) <= delta:
-            hi = mid
-        else:
-            lo = mid
-        if hi / lo < 1 + 1e-9:
-            break
-    return ConfidenceRadius(radius=hi / sqn, delta=delta, n=n, attained=True,
+    v = _bisect(lambda v: q_bound_closed(params, v, c=c_val) <= delta,
+                float(v_grid[i - 1]), float(v_grid[i]), 1e-9)
+    return ConfidenceRadius(radius=v / sqn, delta=delta, n=n, attained=True,
                             constant=c_val, search_range=rng)
 
 

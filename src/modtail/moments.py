@@ -46,8 +46,9 @@ def theta_regime(gamma: float) -> str:
     return "C"
 
 
-def theta(params: MdtParams, p, floor: bool = True):
-    """The moment envelope in its regime.  Vectorized over p in [2, beta)."""
+def theta(params: MdtParams, p):
+    """The moment envelope in its regime, floored at THETA_MIN.  Vectorized
+    over p in [2, beta)."""
     p_arr = np.asarray(p, dtype=float)
     if np.any(p_arr >= params.beta):
         raise DomainError(f"theta requires p < beta={params.beta}")
@@ -62,8 +63,7 @@ def theta(params: MdtParams, p, floor: bool = True):
         out = np.abs(np.log(gap)) * vfac
     else:
         out = vfac * np.ones_like(gap)
-    if floor:
-        out = np.maximum(out, THETA_MIN)
+    out = np.maximum(out, THETA_MIN)
     return float(out) if out.ndim == 0 else out
 
 

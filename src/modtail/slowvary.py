@@ -122,8 +122,16 @@ def parse_sv(expr: str) -> SlowlyVarying:
     return v
 
 
+def format_num(x: float) -> str:
+    """x with :g when that reads back exactly, else its shortest repr."""
+    s = f"{x:g}"
+    return s if float(s) == x else repr(float(x))
+
+
 def format_sv(v: SlowlyVarying) -> str:
-    """The canonical string c(x)*lp(a)*ilp(b), unit factors left out, c(1) for V = 1."""
-    parts = [f"c({math.exp(v.ln_c):g})"] if v.ln_c else []
-    parts += [f"{name}({x:g})" for name, x in (("lp", v.a), ("ilp", v.b)) if x]
+    """The canonical string c(x)*lp(a)*ilp(b), unit factors left out, c(1)
+    for V = 1.  parse_sv reads a and b back exactly, and ln c to within
+    the rounding of exp and log."""
+    parts = [f"c({format_num(math.exp(v.ln_c))})"] if v.ln_c else []
+    parts += [f"{name}({format_num(x)})" for name, x in (("lp", v.a), ("ilp", v.b)) if x]
     return "*".join(parts) or "c(1)"

@@ -1,4 +1,5 @@
-"""Each demo script runs to completion against the package under test."""
+"""Each demo script runs to completion against the package under test,
+and a bare import of the package loads no scipy."""
 
 import os
 import subprocess
@@ -11,12 +12,21 @@ import modtail
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 SRC = str(Path(modtail.__file__).resolve().parents[1])
+ENV = {**os.environ,
+       "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo, tmp_path):
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=ENV,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, modtail; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=ENV,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

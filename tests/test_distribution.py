@@ -67,6 +67,39 @@ def test_default_u_star_keeps_tail_below_one():
     assert tail_formula(p, p.u_star) <= 1.0 + 1e-12
 
 
+def test_default_u_star_is_the_slope_root():
+    # the log-tail slope -3 + 6/y vanishes at y = gamma/beta = 2, where the
+    # log tail -6 + 6 ln 2 is negative; u_star sits on the slope <= 0 side
+    p = make_mdt(3.0, 6.0)
+    assert p.u_star == pytest.approx(E ** 2, rel=1e-12)
+    assert distribution._log_tail_y(p, math.log(p.u_star), slope=True)[1] <= 0
+
+
+def test_default_u_star_is_the_value_root():
+    # c = 100 lifts the peak above 1: u_star is where the formula drops
+    # back to 1, on the side where it is <= 1
+    p = make_mdt(3.0, 6.0, Constant(100.0))
+    assert 1.0 - 1e-12 <= tail_formula(p, p.u_star) <= 1.0
+
+
+def test_bisect():
+    # the first y with y**2 >= 2, returned from the side where ok holds
+    hi = distribution._bisect(lambda y: y * y >= 2.0, 1.0, 2.0, 1e-12)
+    assert hi * hi >= 2.0
+    assert hi == pytest.approx(math.sqrt(2.0), rel=1e-12)
+    # a bracket already narrow enough comes back as it is
+    assert distribution._bisect(lambda y: True, 3.0, 3.0, 1e-9) == 3.0
+    # rel = 0 cannot be met: the loop stops once the midpoint is an end,
+    # at the smallest double where ok holds
+    assert distribution._bisect(lambda y: y >= math.pi, 3.0, 4.0, 0.0) == math.pi
+
+
+def test_describe_prints_numbers_that_read_back():
+    assert make_mdt(4.0, 0.0).describe().startswith("beta=4 gamma=0 V=c(1) ")
+    assert make_mdt(3.1234567, 0.1234567).describe().startswith(
+        "beta=3.1234567 gamma=0.1234567 ")
+
+
 def test_quantile_boundary_and_inverse():
     assert quantile(CANONICAL, 1.0) == CANONICAL.u_star
     assert quantile(CANONICAL, math.exp(-3)) == pytest.approx(E ** 2, rel=1e-10)

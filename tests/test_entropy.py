@@ -5,10 +5,10 @@ import pytest
 from scipy.integrate import quad
 
 from modtail.distribution import make_mdt
-from modtail.entropy import (FieldModel, HolderParams, MetricEntropyModel,
+from modtail.entropy import (FieldModel, MetricEntropyModel,
                              check_entropy_condition, entropy_integral,
                              finite_net_union_bound, natural_distance_bound,
-                             uniform_tail_bound)
+                             net_bound_level, uniform_tail_bound)
 from modtail.errors import DomainError
 from modtail.harness import make_plan, simulate_field
 
@@ -20,11 +20,15 @@ CANONICAL_FIELD = FieldModel(params=make_mdt(4.0, 0.0),
 
 def test_holder_validation():
     with pytest.raises(DomainError):
-        HolderParams(d=0, alpha=1.0)
+        MetricEntropyModel(d=0, alpha=1.0)
     with pytest.raises(DomainError):
-        HolderParams(d=1, alpha=1.5)
+        MetricEntropyModel(d=1, alpha=1.5)
     with pytest.raises(DomainError):
-        HolderParams(d=1, alpha=1.0, c10=0.0)
+        MetricEntropyModel(d=1, alpha=1.0, c10=0.0)
+    with pytest.raises(DomainError):
+        MetricEntropyModel(d=1, alpha=1.0, diameter=0.0)
+    # a frozen value: equal fields, equal models
+    assert MetricEntropyModel.from_holder(2, 0.5) == MetricEntropyModel(2, 0.5, 1.0, 1.0)
 
 
 def test_entropy_condition_boundary():
@@ -50,13 +54,6 @@ def test_entropy_integral_matches_direct_quadrature():
     direct, _ = quad(lambda eps: (3.0 * eps ** (-2 / 0.7)) ** e1, 0.0, 1.5,
                      epsrel=1e-10, limit=400)
     assert entropy_integral(model, beta, gamma) == pytest.approx(direct, rel=1e-8)
-
-
-def test_entropy_integral_singleton():
-    # N = 1 everywhere, so the integral is just the diameter
-    model = MetricEntropyModel(
-        diameter=2.5, covering=lambda eps: np.ones_like(np.asarray(eps, float)))
-    assert entropy_integral(model, 4.0, 0.0) == pytest.approx(2.5, rel=1e-8)
 
 
 def test_entropy_integral_divergent():
@@ -143,7 +140,7 @@ def test_union_bound_single_point_reduces_to_scalar():
     model = FieldModel(params=params, weights=(1.0,), resolution=1)
     from modtail.bounds import q_bound_closed
     u = 40.0
-    got = finite_net_union_bound(model, params, u, net_size=1)
+    got = finite_net_union_bound(model, params, u)
     # M=1, J=1, amp_sum=1: point term is the scalar bound at u/2 plus one
     # Lipschitz excess term
     point = q_bound_closed(params, u / 2.0)

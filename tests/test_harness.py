@@ -7,7 +7,7 @@ import pytest
 from modtail import distribution, harness
 from modtail.bounds import closed_curve, witness_curve
 from modtail.distribution import make_mdt, sample, stream_words, survival
-from modtail.entropy import FieldModel
+from modtail.entropy import FieldModel, net_bound_level
 from modtail.errors import DomainError, NumericError
 from modtail.harness import (EmpiricalTailReport, certify, confidence_radius,
                              coverage_miss_rate, dkw_halfwidth, make_plan,
@@ -291,6 +291,21 @@ def test_confidence_radius_certifies_bound_level():
     assert res.attained
     assert q_bound_closed(PARAMS, math.sqrt(10000) * res.radius,
                           c=res.constant) <= 1e-3 * (1 + 1e-6)
+
+
+# values of the bracket-and-bisect searches, pinned to the bit on laws of
+# all three regimes: a change to the searches must keep them
+@pytest.mark.parametrize("beta,gamma,v,radius_100,radius_1000,net_level", [
+    (4.0, 0.0, "c(1)", 18.859923267352393, 3.252264270338176, 2604.3263904342107),
+    (2.5, 0.5, "ilp(2)", 138.34000511323933, 15.62030535763551, 48130.36157634687),
+    (3.0, -1.0, "c(1)", 5046.69319143552, 732.9422458247591, 1040201.0644342952),
+    (3.0, -2.0, "lp(-1)", 30.805346071015418, 4.584918661621275, 6065.26139304702)])
+def test_level_searches_pinned(beta, gamma, v, radius_100, radius_1000, net_level):
+    params = make_mdt(beta, gamma, parse_sv(v))
+    assert confidence_radius(params, n=100, delta=1e-3).radius == radius_100
+    assert confidence_radius(params, n=1000, delta=1e-2).radius == radius_1000
+    field = FieldModel(params, (1.0, 0.5, 0.25), resolution=64)
+    assert net_bound_level(field, params, 1e-3) == net_level
 
 
 def test_coverage_respects_radius():

@@ -74,7 +74,6 @@ def test_theta_plugins():
     assert theta(make_mdt(3.0, 2.0), 2.5) == pytest.approx(8.0)
     # the gamma = -1 formula vanishes at beta - p = 1; the floor keeps it legal
     assert theta(make_mdt(3.0, -1.0), 2.0) == THETA_MIN
-    assert theta(make_mdt(3.0, -1.0), 2.0, floor=False) == 0.0
 
 
 def test_theta_domain():

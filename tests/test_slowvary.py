@@ -7,8 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from modtail.errors import DomainError
 from modtail.slowvary import (Constant, IterLogPower, LogPower, Product,
-                              format_sv, limit_at_infinity_is_zero, parse_sv,
-                              sv_eval, sv_log)
+                              SlowlyVarying, format_sv,
+                              limit_at_infinity_is_zero, parse_sv, sv_eval,
+                              sv_log)
 
 ATOMS = {"c": Constant, "lp": LogPower, "ilp": IterLogPower}
 
@@ -137,7 +138,19 @@ def test_parse_roundtrip():
     v = parse_sv("c(1)*lp(2)*ilp(-1)")
     assert format_sv(v) == "lp(2)*ilp(-1)"
     assert parse_sv(format_sv(v)) == v
+    # short numbers keep their :g form; longer ones are printed in full
+    assert format_sv(parse_sv("c(2)*ilp(0.5)")) == "c(2)*ilp(0.5)"
+    assert format_sv(parse_sv("lp(0.1234567)")) == "lp(0.1234567)"
     assert sv_eval(v, 0.0) == pytest.approx(1.0)
+
+
+@given(st.floats(-30.0, 30.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
+@settings(max_examples=300, deadline=None)
+def test_format_roundtrips(ln_c, a, b):
+    # a and b come back exactly; ln c to within the rounding of exp and log
+    back = parse_sv(format_sv(SlowlyVarying(ln_c, a, b)))
+    assert (back.a, back.b) == (a, b)
+    assert abs(back.ln_c - ln_c) <= 4e-16 * max(1.0, abs(ln_c))
 
 
 def test_parse_rejects_garbage():
