@@ -1,6 +1,8 @@
 """modtail: non-asymptotic tail bounds for sums of heavy-tailed variables,
 with Monte Carlo certification."""
 
+from types import ModuleType as _ModuleType
+
 from ._version import __version__
 from .errors import ConfigError, DomainError, ModtailError, NumericError
 from .slowvary import (Constant, IterLogPower, LogPower, Product,
@@ -10,13 +12,12 @@ from .distribution import (MdtParams, make_mdt, quantile, sample, survival,
                            tail_formula)
 from .moments import (MomentCurve, default_p_grid, moment_from_tail,
                       natural_psi, theta, theta_regime, verify_equivalence)
-from .fenchel import (FenchelCurve, GeneratingFunction, fenchel,
-                      gls_norm_from_moments, tail_from_gls)
-from .bounds import (SumMomentEnvelope, TailCurve, c1_pessimistic,
-                     calibrate_closed_constant, closed_curve, closed_shape,
-                     fenchel_curve_bound, lower_witness, q_bound_closed,
-                     q_bound_fenchel, rosenthal_constant, rosenthal_sum_moment,
-                     witness_curve)
+from .fenchel import (FenchelCurve, GeneratingFunction, gls_norm_from_moments,
+                      tail_from_gls)
+from .bounds import (TailCurve, c1_pessimistic, calibrate_closed_constant,
+                     closed_curve, closed_shape, fenchel_curve_bound,
+                     lower_witness, q_bound_closed, q_bound_fenchel,
+                     rosenthal_constant, rosenthal_sum_moment, witness_curve)
 from .entropy import (FieldModel, MetricEntropyModel, check_entropy_condition,
                       entropy_integral, finite_net_union_bound,
                       natural_distance_bound, uniform_tail_bound)
@@ -25,4 +26,6 @@ from .harness import (CertificationResult, EmpiricalTailReport, SimulationPlan,
                       default_u_grid, dkw_halfwidth, make_plan, simulate,
                       simulate_field, tail_slope)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# submodules stay reachable as attributes of the package but are not exported
+__all__ = [name for name, obj in globals().items()
+           if not name.startswith("_") and not isinstance(obj, _ModuleType)]

@@ -62,26 +62,6 @@ def rosenthal_sum_moment(params: MdtParams, p, moment2: float, momentp):
     return float(out) if np.ndim(out) == 0 else out
 
 
-@dataclass(frozen=True, eq=False)
-class SumMomentEnvelope:
-    """p-grid envelope of sup_n E|S_n|**p."""
-
-    params: MdtParams
-    p_grid: np.ndarray
-    single_moments: np.ndarray    # E|xi|**p
-    envelope: np.ndarray
-
-    @classmethod
-    def compute(cls, params: MdtParams, p_grid=None) -> "SumMomentEnvelope":
-        if p_grid is None:
-            p_grid = default_p_grid(params, n=17)
-        p_grid = np.asarray(p_grid, dtype=float)
-        m2 = moment_from_tail(params, 2.0)
-        singles = moment_from_tail(params, p_grid)
-        env = rosenthal_sum_moment(params, p_grid, m2, singles)
-        return cls(params=params, p_grid=p_grid, single_moments=singles, envelope=env)
-
-
 @lru_cache(maxsize=64)
 def c1_pessimistic(params: MdtParams) -> float:
     """Analytic constant for sup_n E|S_n|**p <= C1 * theta(p).
@@ -89,9 +69,19 @@ def c1_pessimistic(params: MdtParams) -> float:
     Max over a p-grid of the Rosenthal bound divided by the floored
     envelope; finite because p stays in the bounded interval [2, beta).
     """
-    env = SumMomentEnvelope.compute(params)
-    thetas = theta(params, env.p_grid)
-    return float(np.max(env.envelope / thetas))
+    p_grid = default_p_grid(params, n=17)
+    env = rosenthal_sum_moment(params, p_grid, moment_from_tail(params, 2.0),
+                               moment_from_tail(params, p_grid))
+    return float(np.max(env / theta(params, p_grid)))
+
+
+def _constant(params: MdtParams, c: Optional[float]) -> float:
+    """The bound constant: c, or the Rosenthal-chain constant when c is
+    None; DomainError unless it is finite and positive."""
+    val = c1_pessimistic(params) if c is None else float(c)
+    if not 0 < val < math.inf:
+        raise DomainError(f"bound constant must be finite and > 0, got {val!r}")
+    return val
 
 
 def closed_u_min(params: MdtParams) -> float:
@@ -126,9 +116,7 @@ def q_bound_closed(params: MdtParams, u, c: Optional[float] = None):
     c defaults to the pessimistic Rosenthal-chain constant; pass a
     calibrated value to tighten.
     """
-    if c is None:
-        c = c1_pessimistic(params)
-    out = np.clip(c * closed_shape(params, u), 0.0, 1.0)
+    out = np.clip(_constant(params, c) * closed_shape(params, u), 0.0, 1.0)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -138,8 +126,7 @@ def q_bound_fenchel(params: MdtParams, u, c1: Optional[float] = None):
     tau(p) = ln theta(p) (floored); the moment constant C1 is folded into
     the argument as C_shift = C1**(1/p*) at the active argmax p*.
     """
-    if c1 is None:
-        c1 = c1_pessimistic(params)
+    c1 = _constant(params, c1)
     psi = GeneratingFunction.from_theta(params)
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
     if np.any(u_arr < _E * (1 - 1e-12)):
@@ -196,7 +183,7 @@ class TailCurve:
 
 def closed_curve(params: MdtParams, c: Optional[float] = None,
                  mode: str = "pessimistic") -> TailCurve:
-    c_val = c1_pessimistic(params) if c is None else float(c)
+    c_val = _constant(params, c)
     regime = theta_regime(params.gamma)
     return TailCurve(
         fn=lambda u: q_bound_closed(params, u, c=c_val),
@@ -207,7 +194,7 @@ def closed_curve(params: MdtParams, c: Optional[float] = None,
 
 def fenchel_curve_bound(params: MdtParams, c1: Optional[float] = None,
                         mode: str = "pessimistic") -> TailCurve:
-    c1_val = c1_pessimistic(params) if c1 is None else float(c1)
+    c1_val = _constant(params, c1)
     return TailCurve(fn=lambda u: q_bound_fenchel(params, u, c1=c1_val),
                      provenance="fenchel-thm21", u_min=_E, kind="upper",
                      constants={"c1": c1_val, "mode": mode})

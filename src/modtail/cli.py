@@ -8,7 +8,6 @@ fenchel.  Exit codes: 0 ok, 1 certification failure, 2 config error,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -19,13 +18,13 @@ from ._version import __version__
 from .bounds import (calibrate_closed_constant, closed_curve,
                      fenchel_curve_bound, witness_curve)
 from .config import RunConfig
-from .distribution import quantile
 from .entropy import (MetricEntropyModel, check_entropy_condition,
                       entropy_integral, finite_net_union_bound,
                       net_bound_level)
 from .errors import ConfigError, DomainError, NumericError
 from .fenchel import FenchelCurve, GeneratingFunction
-from .harness import certify, confidence_radius, make_plan, simulate
+from .harness import (certify, confidence_radius, default_u_grid, make_plan,
+                      simulate, write_json)
 from .moments import MomentCurve, default_p_grid
 
 EXIT_OK = 0
@@ -36,10 +35,7 @@ EXIT_NUMERIC = 3
 
 def _u_grid(cfg: RunConfig, params):
     plan = cfg.raw["plan"]
-    u_min, u_max, points = plan["u_min"], plan["u_max"], plan["u_points"]
-    lo = params.u_star if u_min is None else max(u_min, params.u_star)
-    hi = quantile(params, 1e-4) if u_max is None else u_max
-    return np.geomspace(lo, hi, points)
+    return default_u_grid(params, plan["u_points"], plan["u_min"], plan["u_max"])
 
 
 def _outdir(cfg: RunConfig, override) -> Path:
@@ -50,12 +46,6 @@ def _outdir(cfg: RunConfig, override) -> Path:
 
 def _header(cfg: RunConfig) -> str:
     return f"# modtail v{__version__}\n{cfg.header_lines()}"
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _curves(cfg: RunConfig, params, c_calibrated=None):
@@ -91,10 +81,10 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     params = cfg.params()
     report = simulate(_plan(cfg, params))
     report.to_csv(out / "simulation.csv", header_extra=_header(cfg))
-    _write_json(out / "simulation.json",
-                {"version": __version__, "config_hash": cfg.digest(),
-                 "plan": report.plan.echo(), "dkw": report.dkw,
-                 "qhat": [float(x) for x in report.qhat]})
+    write_json(out / "simulation.json",
+               {"version": __version__, "config_hash": cfg.digest(),
+                "plan": report.plan.echo(), "dkw": report.dkw,
+                "qhat": [float(x) for x in report.qhat]})
     return EXIT_OK
 
 
@@ -115,7 +105,7 @@ def cmd_certify(cfg: RunConfig, out: Path) -> int:
     payload = {"version": __version__, "config_hash": cfg.digest(),
                "plan": report.plan.echo(), "constants": {"c1": c_override},
                **result.summary()}
-    _write_json(out / "certification.json", payload)
+    write_json(out / "certification.json", payload)
     return EXIT_OK if result.passed else EXIT_CERT_FAIL
 
 
@@ -131,7 +121,7 @@ def cmd_confidence(cfg: RunConfig, out: Path) -> int:
                "certificate": (f"P(|a_n - a| > {res.radius:.6g}) <= {res.delta:g}"
                                if res.attained else
                                f"bound never drops below delta in {res.search_range}")}
-    _write_json(out / "confidence.json", payload)
+    write_json(out / "confidence.json", payload)
     return EXIT_OK
 
 
@@ -146,13 +136,13 @@ def cmd_entropy(cfg: RunConfig, out: Path) -> int:
     u_grid = _u_grid(cfg, params)
     net = [finite_net_union_bound(field, params, float(u)) for u in u_grid]
     delta = cfg.raw["confidence"]["delta"]
-    _write_json(out / "entropy.json",
-                {"version": __version__, "config_hash": cfg.digest(),
-                 "condition_satisfied": ok,
-                 "entropic_integral": None if math.isinf(integral) else integral,
-                 "net_bound_u": [float(u) for u in u_grid],
-                 "net_bound": net, "net_bound_delta": delta,
-                 "net_bound_u_at_delta": net_bound_level(field, params, delta)})
+    write_json(out / "entropy.json",
+               {"version": __version__, "config_hash": cfg.digest(),
+                "condition_satisfied": ok,
+                "entropic_integral": None if math.isinf(integral) else integral,
+                "net_bound_u": [float(u) for u in u_grid],
+                "net_bound": net, "net_bound_delta": delta,
+                "net_bound_u_at_delta": net_bound_level(field, params, delta)})
     return EXIT_OK
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, NamedTuple, Optional
 
@@ -117,6 +118,9 @@ class RunConfig:
                 raise ConfigError(f"cannot parse config {path}: {exc}") from exc
         _validate(given)
         cfg = cls(raw=_fill(given))
+        c1 = cfg.raw["bounds"]["c1"]
+        if c1 is not None and not 0 < c1 < math.inf:
+            raise ConfigError(f"config key 'bounds.c1' must be finite and > 0; got {c1!r}")
         cfg.params()  # fail early on bad law parameters
         return cfg
 

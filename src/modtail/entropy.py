@@ -26,9 +26,6 @@ from .distribution import MdtParams, _bisect
 from .errors import DomainError, NumericError
 from .fenchel import GeneratingFunction, gls_norm_from_moments
 from .moments import MomentCurve, default_p_grid
-from .slowvary import sv_eval
-
-_E = math.e
 
 
 @dataclass(frozen=True)
@@ -159,7 +156,8 @@ def uniform_tail_bound(model: MetricEntropyModel, params: MdtParams, u,
                        c6: Optional[float] = None):
     """Tail bound for the supremum of the normalized field sums.
 
-    Shape u**(-beta) (ln u)**(gamma+1) V(ln u).  Unless c6 is given, the
+    q_bound_closed with constant c6: in regime A its shape is
+    u**(-beta) (ln u)**(gamma+1) V(ln u).  Unless c6 is given, the
     constant is the scalar chain constant c1_pessimistic scaled by the
     entropic mass (1 + I/C5)**beta; no proved chain links that product
     to the field supremum, so it is a heuristic constant.
@@ -169,15 +167,9 @@ def uniform_tail_bound(model: MetricEntropyModel, params: MdtParams, u,
     integral = entropy_integral(model, params.beta, params.gamma)
     if not np.isfinite(integral):
         raise DomainError("entropy condition violated: entropic integral diverges")
-    u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr < _E * (1 - 1e-12)):
-        raise DomainError("uniform_tail_bound requires u >= e")
     if c6 is None:
         c6 = c1_pessimistic(params) * (1.0 + integral / model.diameter) ** params.beta
-    y = np.log(np.maximum(u_arr, _E))
-    out = np.clip(c6 * u_arr ** (-params.beta) * y ** (params.gamma + 1.0)
-                  * sv_eval(params.v, y), 0.0, 1.0)
-    return float(out) if out.ndim == 0 else out
+    return q_bound_closed(params, u, c=c6)
 
 
 def finite_net_union_bound(model: FieldModel, params: MdtParams, u: float) -> float:
@@ -193,7 +185,6 @@ def finite_net_union_bound(model: FieldModel, params: MdtParams, u: float) -> fl
     """
     if u <= 0:
         raise DomainError("u must be positive")
-    c1 = c1_pessimistic(params)
     m, j_count = model.resolution, model.n_components
     mesh = 1.0 / m
 
@@ -202,7 +193,7 @@ def finite_net_union_bound(model: FieldModel, params: MdtParams, u: float) -> fl
         # below the closed-form domain
         if threshold < closed_u_min(params):
             return 1.0
-        return float(q_bound_closed(params, threshold, c=c1))
+        return float(q_bound_closed(params, threshold))
 
     point_term = m * j_count * component_bound(u / (2.0 * model.amp_sum))
     lip_term = j_count * component_bound(u / (2.0 * mesh * model.lip_sum))

@@ -40,7 +40,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bounds import TailCurve, c1_pessimistic, closed_u_min, q_bound_closed
+from .bounds import TailCurve, _constant, closed_u_min, q_bound_closed
 from .distribution import (_BLOCK, STREAM_BLOCK, MdtParams, _bisect, quantile,
                            rotate_by_words, sign_by_words, stream_words,
                            word_uniforms)
@@ -66,9 +66,9 @@ class SimulationPlan:
     reps: int
     u_grid: np.ndarray
     seed: int
-    dkw_delta: float = 1e-3
-    budget: int = DEFAULT_BUDGET
-    threads: int = 1
+    dkw_delta: float
+    budget: int
+    threads: int
 
     def __post_init__(self):
         if (not self.n_grid or list(self.n_grid) != sorted(set(self.n_grid))
@@ -76,6 +76,8 @@ class SimulationPlan:
             raise DomainError("n_grid must be strictly increasing positive ints")
         if self.reps < 1000:
             raise DomainError("reps must be >= 1000")
+        if self.u_grid.size == 0:
+            raise DomainError("u_grid must not be empty")
 
     def echo(self) -> Dict:
         return {"params": self.params.describe(), "n_grid": list(self.n_grid),
@@ -83,10 +85,25 @@ class SimulationPlan:
                 "u_grid": [float(u) for u in self.u_grid]}
 
 
-def default_u_grid(params: MdtParams, points: int = 64) -> np.ndarray:
-    """Geometric grid from u_star to the 1e-4 quantile of the single-draw
-    envelope, so the highest cell still expects reps * 1e-4 exceedances."""
-    return np.geomspace(params.u_star, quantile(params, 1e-4), points)
+def default_u_grid(params: MdtParams, points: int = 64,
+                   u_min: Optional[float] = None,
+                   u_max: Optional[float] = None) -> np.ndarray:
+    """Geometric grid of points cells from max(u_min, u_star) to u_max,
+    by default the 1e-4 quantile of the single-draw envelope, so the
+    highest cell still expects reps * 1e-4 exceedances."""
+    lo = params.u_star if u_min is None else max(u_min, params.u_star)
+    hi = quantile(params, 1e-4) if u_max is None else u_max
+    if points < 1 or not lo <= hi < math.inf:
+        raise DomainError(f"u-grid needs at least one point on a finite range, "
+                          f"got {points} points on [{lo:g}, {hi:g}]")
+    return np.geomspace(lo, hi, points)
+
+
+def write_json(path, payload: Dict) -> None:
+    """payload as JSON with indent 2, sorted keys and a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def make_plan(params: MdtParams, seed: int,
@@ -298,9 +315,7 @@ class CertificationResult:
                               "violations": v.violations} for v in self.verdicts]}
 
     def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.summary(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.summary())
 
 
 def certify(report: EmpiricalTailReport,
@@ -309,7 +324,7 @@ def certify(report: EmpiricalTailReport,
 
     Upper bounds must satisfy Qhat - dkw <= curve(u); the lower witness
     must satisfy Qhat + dkw >= curve(u).  Cells below a curve's domain
-    are skipped.
+    are skipped; a curve left with no cell fails, as it checked nothing.
     """
     u = report.u_grid
     qhat = report.qhat
@@ -323,7 +338,7 @@ def certify(report: EmpiricalTailReport,
         else:
             bad = (qhat[mask] + dkw) < vals
         verdicts.append(CurveVerdict(
-            provenance=curve.provenance, passed=not bool(bad.any()),
+            provenance=curve.provenance, passed=bool(mask.any() and not bad.any()),
             checked_cells=int(mask.sum()),
             violations=[float(x) for x in u[mask][bad]]))
     return CertificationResult(report=report, verdicts=verdicts)
@@ -378,7 +393,7 @@ def confidence_radius(params: MdtParams, n: int, delta: float,
         raise DomainError("sample size must be >= 1")
     if not (0 < delta <= 1):
         raise DomainError("delta must lie in (0, 1]")
-    c_val = c1_pessimistic(params) if c is None else float(c)
+    c_val = _constant(params, c)
     v_min = max(closed_u_min(params), params.u_star)
     sqn = math.sqrt(n)
     v_grid = np.geomspace(v_min, v_min * 1e8, 4096)

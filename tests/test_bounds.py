@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from modtail.bounds import (SumMomentEnvelope, c1_pessimistic,
+from modtail.bounds import (c1_pessimistic,
                             calibrate_closed_constant, closed_curve,
                             closed_shape, fenchel_curve_bound, lower_witness,
                             q_bound_closed, q_bound_fenchel,
@@ -13,8 +13,8 @@ from modtail.bounds import (SumMomentEnvelope, c1_pessimistic,
 from modtail.distribution import make_mdt, sample, survival
 from modtail.errors import DomainError
 from modtail.fenchel import GeneratingFunction, tail_from_gls
-from modtail.moments import moment_from_tail
-from modtail.harness import default_u_grid
+from modtail.moments import default_p_grid, moment_from_tail
+from modtail.harness import confidence_radius, default_u_grid
 from modtail.slowvary import ONE, LogPower, parse_sv
 
 E = math.e
@@ -49,8 +49,37 @@ def test_rosenthal_dominates_single_draw():
     # at n = 1 the sum moment is the single moment, so the envelope must
     # sit above it for every p
     params = make_mdt(4.0, 0.5, LogPower(1.0))
-    env = SumMomentEnvelope.compute(params)
-    assert np.all(env.envelope >= env.single_moments)
+    p = default_p_grid(params, n=17)
+    singles = moment_from_tail(params, p)
+    env = rosenthal_sum_moment(params, p, moment_from_tail(params, 2.0), singles)
+    assert np.all(env >= singles)
+
+
+@pytest.mark.parametrize("law, bits", [
+    ((4.0, 0.0, "c(1)"), "0x1.d79dfc9915d85p+17"),
+    ((3.0, -1.0, "c(1)"), "0x1.92000fc75b36ap+35"),
+    ((3.0, -2.0, "lp(-1)"), "0x1.4bea0e1b27d15p+16"),
+    ((2.5, 0.5, "ilp(2)"), "0x1.91d2efd3afcd6p+9"),
+], ids=lambda x: "{:g},{:g},{}".format(*x) if isinstance(x, tuple) else None)
+def test_c1_pessimistic_pinned(law, bits):
+    # recorded before the chain was reduced to one expression; any change
+    # in the order of its operations shows here
+    beta, gamma, v = law
+    assert c1_pessimistic.__wrapped__(make_mdt(beta, gamma, parse_sv(v))) == \
+        float.fromhex(bits)
+
+
+@pytest.mark.parametrize("c", [-5.0, math.nan, 0.0, math.inf])
+def test_bound_constant_must_be_finite_positive(c):
+    # a bad constant gives no bound at all, never a vacuous or NaN one
+    params = make_mdt(4.0, 0.0)
+    for call in (lambda: q_bound_closed(params, 10.0, c=c),
+                 lambda: q_bound_fenchel(params, 10.0, c1=c),
+                 lambda: closed_curve(params, c=c),
+                 lambda: fenchel_curve_bound(params, c1=c),
+                 lambda: confidence_radius(params, 100, 1e-3, c=c)):
+        with pytest.raises(DomainError, match="finite and > 0"):
+            call()
 
 
 @pytest.mark.parametrize("n", [1, 4, 16, 64, 256])

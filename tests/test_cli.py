@@ -224,6 +224,29 @@ def test_malformed_list_values(tmp_path, capsys, command, key, value, code):
     assert name in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("c1", ["-5.0", ".nan", "0.0", ".inf"])
+def test_bounds_c1_must_be_finite_positive(tmp_path, capsys, c1):
+    # such a constant once certified a radius at the search floor or wrote
+    # NaN into the JSON
+    path = tmp_path / "bad.yaml"
+    path.write_text(f"bounds:\n  c1: {c1}\n")
+    assert run(["confidence", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "bounds.c1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("u_points", 0), ("u_points", -3),
+                                        ("u_max", 0.0), ("u_max", -2.0)])
+def test_empty_u_grid_is_an_error_not_a_verdict(tmp_path, capsys, key, value):
+    # exit 0 would certify nothing or NaN cells, exit 1 would claim a
+    # failed check
+    tree = yaml.safe_load(FAST_PLAN)
+    tree["plan"][key] = value
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(tree))
+    assert run(["certify", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert "u-grid" in capsys.readouterr().err
+
+
 def test_bounds_mode_must_be_known(tmp_path, capsys):
     path = tmp_path / "bad.yaml"
     path.write_text(FAST_PLAN + "bounds:\n  mode: bogus\n")

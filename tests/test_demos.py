@@ -1,9 +1,11 @@
 """Each demo script runs to completion against the package under test,
-and a bare import of the package loads no scipy."""
+a bare import of the package loads no scipy, and its namespace keeps
+functions and submodules apart."""
 
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -30,3 +32,10 @@ def test_import_loads_no_scipy():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_submodules_not_shadowed_or_exported():
+    import modtail.fenchel as fenchel_module
+    assert isinstance(fenchel_module, types.ModuleType)
+    assert not [name for name in modtail.__all__
+                if isinstance(getattr(modtail, name), types.ModuleType)]

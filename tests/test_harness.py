@@ -10,8 +10,8 @@ from modtail.distribution import make_mdt, sample, stream_words, survival
 from modtail.entropy import FieldModel, net_bound_level
 from modtail.errors import DomainError, NumericError
 from modtail.harness import (EmpiricalTailReport, certify, confidence_radius,
-                             coverage_miss_rate, dkw_halfwidth, make_plan,
-                             simulate, simulate_field, tail_slope)
+                             coverage_miss_rate, default_u_grid, dkw_halfwidth,
+                             make_plan, simulate, simulate_field, tail_slope)
 from modtail.slowvary import parse_sv
 
 PARAMS = make_mdt(4.0, 0.0)
@@ -236,6 +236,32 @@ def test_certify_pass_and_fail():
     result_bad = certify(report, [bad])
     assert not result_bad.passed
     assert len(result_bad.verdicts[0].violations) > 0
+
+
+def test_certify_fails_a_curve_checked_on_no_cell():
+    # regime B's closed form starts at e**e, above this whole u-grid
+    params = make_mdt(3.0, -1.0)
+    plan = make_plan(params, seed=3, n_grid=(1, 2), reps=1000,
+                     u_grid=np.geomspace(params.u_star, 10.0, 8))
+    result = certify(simulate(plan), [closed_curve(params), witness_curve(params)])
+    closed, witness = result.verdicts
+    assert (closed.checked_cells, closed.passed) == (0, False)
+    assert witness.checked_cells == 8 and witness.passed
+    assert not result.passed
+
+
+def test_u_grid_needs_a_point_on_a_finite_range():
+    for points, u_min, u_max in ((0, None, None), (-3, None, None),
+                                 (8, None, 0.0), (8, None, -2.0),
+                                 (8, 50.0, 5.0), (8, None, math.inf)):
+        with pytest.raises(DomainError):
+            default_u_grid(PARAMS, points, u_min, u_max)
+    with pytest.raises(DomainError):
+        make_plan(PARAMS, seed=1, u_grid=np.array([]))
+    # u_min and u_max carry the CLI's plan.u_min and plan.u_max
+    assert default_u_grid(PARAMS, 1, u_min=0.5, u_max=40.0)[0] == PARAMS.u_star
+    np.testing.assert_array_equal(default_u_grid(PARAMS, 5, 3.0, 40.0),
+                                  np.geomspace(3.0, 40.0, 5))
 
 
 def test_certify_json(tmp_path):
