@@ -2,7 +2,7 @@
 
 The config is a key-tree with sections law / bounds / plan / confidence /
 entropy / output, declared once in ``_TABLE``.  Unknown keys, wrong
-types and values outside a key's allowed set are rejected.  Every
+types and values outside a key's allowed set or range are rejected.  Every
 emitted file carries the config hash so runs are traceable.
 """
 
@@ -28,6 +28,8 @@ class _Key(NamedTuple):
     default: object
     items: tuple = ()       # accepted types of each element of a list value
     choices: tuple = ()     # the allowed values, when the set is closed
+    range: tuple = ()       # (lo, hi, closed): lo <= value <= hi when closed,
+                            # else lo < value < hi; None always passes
 
 
 _NUM = (int, float)
@@ -40,20 +42,20 @@ _TABLE = {
     "law.u_star": _Key(_OPT_NUM, None),
     "bounds.mode": _Key((str,), "pessimistic",
                         choices=("pessimistic", "calibrated")),
-    "bounds.c1": _Key(_OPT_NUM, None),
+    "bounds.c1": _Key(_OPT_NUM, None, range=(0, math.inf, False)),
     "bounds.calibration_slack_dkw": _Key(_NUM, 2.0),
     "plan.n_grid": _Key((list,), [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024],
                         items=(int,)),
-    "plan.reps": _Key((int,), 100000),
+    "plan.reps": _Key((int,), 100000, range=(1000, math.inf, True)),
     "plan.seed": _Key((int,), 1),
     "plan.u_points": _Key((int,), 64),
     "plan.u_min": _Key(_OPT_NUM, None),
     "plan.u_max": _Key(_OPT_NUM, None),
-    "plan.dkw_delta": _Key(_NUM, 1e-3),
+    "plan.dkw_delta": _Key(_NUM, 1e-3, range=(0, 1, False)),
     "plan.budget": _Key((int,), 10 ** 9),
-    "plan.threads": _Key((int,), 1),
-    "confidence.delta": _Key(_NUM, 1e-3),
-    "confidence.n": _Key((int,), 10000),
+    "plan.threads": _Key((int,), 1, range=(1, math.inf, True)),
+    "confidence.delta": _Key(_NUM, 1e-3, range=(0, 1, False)),
+    "confidence.n": _Key((int,), 10000, range=(1, math.inf, True)),
     "entropy.d": _Key((int,), 1),
     "entropy.alpha": _Key(_NUM, 1.0),
     "entropy.C5": _Key(_NUM, 1.0),
@@ -76,6 +78,11 @@ def _check(name: str, val) -> None:
     if key.choices and val not in key.choices:
         raise ConfigError(
             f"config key '{name}' must be one of {', '.join(key.choices)}; got {val!r}")
+    if key.range and val is not None:
+        lo, hi, closed = key.range
+        if not (lo <= val <= hi if closed else lo < val < hi):
+            span = f"[{lo}, {hi}]" if closed else f"({lo}, {hi})"
+            raise ConfigError(f"config key '{name}' must lie in {span}; got {val!r}")
 
 
 def _validate(tree) -> None:
@@ -118,9 +125,6 @@ class RunConfig:
                 raise ConfigError(f"cannot parse config {path}: {exc}") from exc
         _validate(given)
         cfg = cls(raw=_fill(given))
-        c1 = cfg.raw["bounds"]["c1"]
-        if c1 is not None and not 0 < c1 < math.inf:
-            raise ConfigError(f"config key 'bounds.c1' must be finite and > 0; got {c1!r}")
         cfg.params()  # fail early on bad law parameters
         return cfg
 
@@ -130,6 +134,7 @@ class RunConfig:
             if val is None:
                 continue
             section, name = key.split("__")
+            _check(f"{section}.{name}", val)
             merged[section][name] = val
         return RunConfig(raw=merged)
 

@@ -351,8 +351,11 @@ def _quantile_block(params: MdtParams, q: np.ndarray, out: np.ndarray):
 
 def stream_words(seed: int, block: int, count: int) -> np.ndarray:
     """The first count raw uint64 words of block `block` of the seed's
-    random stream: Philox keyed by SeedSequence([seed, block])."""
-    return np.random.Philox(np.random.SeedSequence([seed, block])).random_raw(count)
+    random stream: PCG64DXSM keyed by SeedSequence([seed, block]).  Each
+    block is its own generator, so any block can be read without the
+    ones before it, and blocks of one seed, like those of two seeds, are
+    independent streams."""
+    return np.random.PCG64DXSM(np.random.SeedSequence([seed, block])).random_raw(count)
 
 
 def word_uniforms(words: np.ndarray, out=None) -> np.ndarray:

@@ -5,7 +5,7 @@ normalized sums, wraps it in a uniform DKW confidence band, and checks
 every bound curve against it.  The sup over all n is truncated to the
 plan's n-grid; per-n curves are kept in the report so saturation can be
 judged.  One chunked loop serves every statistic: chunk ci reads block
-ci of the seed's counter-based stream, one 64-bit word per draw, so
+ci of the seed's block-keyed stream, one 64-bit word per draw, so
 results do not depend on the worker count.  One pipeline turns a
 chunk's words into signed draws, in blocks of distribution._BLOCK words
 small enough to stay in cache: the block's uniforms go to a workspace
@@ -17,14 +17,22 @@ chunk-sized array: a second one, allocated and freed per chunk, made
 the allocator hand memory back and fault it in again every chunk.  Each
 replication draws one block of n_max draws and every S_n on the n-grid
 is a prefix sum of it; the tails share draws, so the DKW level is split
-over the n-grid.
+over the n-grid.  A chunk of m replications lays its draws out with n
+outermost: the k-th draw of replication r is word k m + r.  So each
+prefix sum is a run of vector adds over contiguous rows of m; laid out
+by replication, the field's short rows cost an inner loop per segment
+and row.
 
 The field supremum calls no libm trig, and works in blocks in one
-workspace too.  A phase word r gives q = i 2**-12 + j 2**-53 exactly,
-with i = r >> 52 and j = ((r >> 11) & (2**41 - 1)) + 1: the cos and sin
-of 2 pi i / 4096 come from a table, those of 2 pi j 2**-53 <= 1.54e-3
-from series whose truncation error is below 1e-19, and angle addition
-joins them (distribution.rotate_by_words).  The max over the z-grid
+workspace too.  Its chunk of m replications of J components reads
+2 n_max m J words: first the amplitude words, then the phase words,
+each laid out (n, replication, component), so the k-th draw of
+component c of replication r and its phase are words (k m + r) J + c
+and n_max m J plus that.  A phase word r gives q = i 2**-12 + j 2**-53
+exactly, with i = r >> 52 and j = ((r >> 11) & (2**41 - 1)) + 1: the
+cos and sin of 2 pi i / 4096 come from a table, those of 2 pi j 2**-53
+<= 1.54e-3 from series whose truncation error is below 1e-19, and angle
+addition joins them (distribution.rotate_by_words).  The max over the z-grid
 runs over half of it: the grid k / M is symmetric under z -> 1 - z, so
 it is the max of |P| + |Q| over k <= M / 2 (see simulate_field).
 """
@@ -223,18 +231,24 @@ def _draws(params: MdtParams, words: np.ndarray) -> np.ndarray:
 
 
 def _prefix_sums(x: np.ndarray, n_grid: Sequence[int]) -> np.ndarray:
-    """Unnormalized partial sums over axis 1 of x (replications, n_max,
-    ...) at each n of the grid: the segment sums between consecutive
-    grid points, accumulated."""
-    starts = np.array((0,) + tuple(n_grid[:-1]))
-    return np.cumsum(np.add.reduceat(x, starts, axis=1), axis=1)
+    """Unnormalized partial sums over axis 1 of x (k, n_max, ...) at each
+    n of the grid: the segment sums between consecutive grid points,
+    accumulated as a running sum."""
+    out = np.empty(x.shape[:1] + (len(n_grid),) + x.shape[2:])
+    lo = 0
+    for g, n in enumerate(n_grid):
+        s = np.add.reduce(x[:, lo:n], axis=1, out=out[:, g])
+        if g:
+            s += out[:, g - 1]
+        lo = n
+    return out
 
 
 def _tail_counts(stat: np.ndarray, u_grid: np.ndarray) -> np.ndarray:
-    """Exceedance counts above each u of each column of stat (m, G)."""
-    cols = np.sort(stat, axis=0).T
-    return np.array([len(c) - np.searchsorted(c, u_grid, side="right")
-                     for c in cols])
+    """Exceedance counts above each u of each row of stat (G, m)."""
+    rows = np.sort(stat, axis=1)
+    return np.array([rows.shape[1] - np.searchsorted(r, u_grid, side="right")
+                     for r in rows])
 
 
 def simulate(plan: SimulationPlan) -> EmpiricalTailReport:
@@ -245,11 +259,11 @@ def simulate(plan: SimulationPlan) -> EmpiricalTailReport:
     """
     n_max = plan.n_grid[-1]
     _check_budget(plan, n_max)
-    scale = 1.0 / np.sqrt(plan.n_grid)
+    scale = 1.0 / np.sqrt(plan.n_grid)[:, None]
 
     def statistic(words, m):
-        x = _draws(plan.params, words).reshape(m, n_max)
-        return _tail_counts(np.abs(_prefix_sums(x, plan.n_grid)) * scale,
+        x = _draws(plan.params, words).reshape(1, n_max, m)
+        return _tail_counts(np.abs(_prefix_sums(x, plan.n_grid)[0]) * scale,
                             plan.u_grid)
 
     counts = _run(plan.seed, plan.reps, n_max, n_max, plan.threads, statistic)
@@ -271,20 +285,20 @@ def simulate_field(model: FieldModel, plan: SimulationPlan) -> EmpiricalTailRepo
     w = np.asarray(model.weights, dtype=float)[:, None]
     cos, sin = w * np.cos(angle), w * np.sin(angle)
     sin[:, 2 * k % model.resolution == 0] = 0.0
-    scale = 1.0 / np.sqrt(plan.n_grid)
+    scale = 1.0 / np.sqrt(plan.n_grid)[:, None]
 
     def statistic(words, m):
-        words = words.reshape(2, m, n_max, j_count)
+        words = words.reshape(2, n_max, m * j_count)
         # xi sin(phase) over the amplitude words, xi cos(phase) over the
-        # phase words
+        # phase words; the sums' rows run over (n-grid point, replication)
         rotate_by_words(_draws(plan.params, words[0]), words[1])
-        sums = _prefix_sums(words.view(np.float64).reshape(2 * m, n_max, j_count),
+        sums = _prefix_sums(words.view(np.float64),
                             plan.n_grid).reshape(2, -1, j_count)
         # row blocks keep each product in cache
         stat = np.concatenate([
             (np.abs(sums[1, i:i + 1024] @ cos) + np.abs(sums[0, i:i + 1024] @ sin))
             .max(axis=1) for i in range(0, sums.shape[1], 1024)])
-        return _tail_counts(stat.reshape(m, -1) * scale, plan.u_grid)
+        return _tail_counts(stat.reshape(-1, m) * scale, plan.u_grid)
 
     counts = _run(plan.seed, plan.reps, 2 * n_max * j_count, n_max,
                   plan.threads, statistic)

@@ -234,6 +234,32 @@ def test_bounds_c1_must_be_finite_positive(tmp_path, capsys, c1):
     assert "bounds.c1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("simulate", "plan.reps", 999),
+    ("simulate", "plan.dkw_delta", 1.5),
+    ("confidence", "confidence.delta", 0.0),
+    ("confidence", "confidence.n", 0),
+    ("simulate", "plan.threads", 0),
+])
+def test_out_of_range_values_are_config_errors(tmp_path, capsys, command, key,
+                                               value):
+    # checked at load, before any draw: these once exited 3 from deep in
+    # the library, and threads: 0 ran
+    tree = yaml.safe_load(FAST_PLAN)
+    section, name = key.split(".")
+    tree.setdefault(section, {})[name] = value
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(tree))
+    assert run([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+
+
+def test_threads_override_is_range_checked(tmp_path, cfg, capsys):
+    assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
+                "--threads", "0"]) == 2
+    assert "'plan.threads'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key, value", [("u_points", 0), ("u_points", -3),
                                         ("u_max", 0.0), ("u_max", -2.0)])
 def test_empty_u_grid_is_an_error_not_a_verdict(tmp_path, capsys, key, value):

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.stats import chi2
 
 from modtail import distribution
 from modtail.distribution import (STREAM_BLOCK, MdtParams, make_mdt,
@@ -310,6 +311,36 @@ def test_word_decode():
     q = np.sort(word_uniforms(words))
     ecdf = np.arange(1, q.size + 1) / q.size
     assert np.max(np.abs(ecdf - q)) <= dkw_halfwidth(q.size, 1e-3)
+
+
+@pytest.mark.parametrize("seed, block", [(3, 0), (3, 1), (3, 7), (4, 0)])
+def test_stream_bits_the_pipeline_reads(seed, block):
+    # each word gives the magnitude its top 53 bits, the sign its low bit
+    # and the field's phase turn its top 12 bits; chi-square tests at
+    # level 1e-4 on one whole block of the stream
+    words = stream_words(seed, block, STREAM_BLOCK)
+    q = word_uniforms(words)
+    decile = np.minimum((q * 10).astype(np.intp), 9)
+    per_decile = np.bincount(decile, minlength=10)
+    expected = words.size / 10
+    assert np.sum((per_decile - expected) ** 2 / expected) <= chi2.isf(1e-4, 9)
+    # the sign bit is balanced within each decile of q, so it is balanced
+    # and independent of the magnitude: 10 degrees of freedom at p = 1/2
+    low = (words & np.uint64(1)).astype(np.intp)
+    ones = np.bincount(decile, weights=low, minlength=10)
+    assert np.sum((ones - per_decile / 2) ** 2 / (per_decile / 4)) <= \
+        chi2.isf(1e-4, 10)
+    turns = np.bincount((words >> np.uint64(52)).astype(np.intp), minlength=4096)
+    expected = words.size / 4096
+    assert np.sum((turns - expected) ** 2 / expected) <= chi2.isf(1e-4, 4095)
+
+
+def test_stream_blocks_and_seeds_differ():
+    # two blocks of one seed, and one block of two seeds, share no word
+    # (a chance collision among 2**17 words has probability about 5e-10)
+    a, b, c = (stream_words(s, blk, 2 ** 16) for s, blk in ((3, 0), (3, 1), (4, 0)))
+    assert np.intersect1d(a, b).size == 0
+    assert np.intersect1d(a, c).size == 0
 
 
 def test_rotation_by_words():

