@@ -179,7 +179,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="YAML config file")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", type=int, default=None,
+                       help="sampling lanes: the process itself and up to "
+                            "N - 1 forked children, at most one per usable "
+                            "CPU and per chunk; results do not depend on it")
         p.add_argument("--budget", type=int, default=None)
     return parser
 

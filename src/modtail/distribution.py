@@ -283,6 +283,11 @@ def _f_tol(q: np.ndarray) -> np.ndarray:
     return 1e-13 / np.maximum(q, 1e-13 / 0.3) + 3e-15
 
 
+# a bound on q |expm1(f)| over q in (0, 1] and |f| <= _f_tol(q): the
+# largest value, 1.166e-13, is at q = 1e-13 / 0.3, where the clamp starts
+_PASSED_ERR = 1.2e-13
+
+
 def _pure_power(params: MdtParams) -> bool:
     """gamma = 0 and a constant V: the law whose quantile has a closed form."""
     return params.gamma == 0 and params.v.a == 0 and params.v.b == 0
@@ -297,7 +302,7 @@ def _quantile_block(params: MdtParams, q: np.ndarray, out: np.ndarray):
         raise DomainError("quantile requires q in (0, 1]")
     y_star = math.log(params.u_star)
     target = np.log(q)
-    f_max = math.inf
+    err = math.inf
     if _pure_power(params):
         y = np.divide(target, -params.beta, out=out)
         y += y_star
@@ -307,8 +312,9 @@ def _quantile_block(params: MdtParams, q: np.ndarray, out: np.ndarray):
         f_max = max(f.max(), -f.min())
         # within f_tol at q = 1, its smallest value, every draw passes;
         # a NaN fails
-        if not f_max <= 1e-13 + 3e-15:
-            f_max = math.inf
+        if f_max <= 1e-13 + 3e-15:
+            err = math.expm1(f_max)
+        else:
             f = _newton(params, target, y, y_star,
                         y_star + _TABLE_G_MAX / params.beta, _f_tol(q))
     else:
@@ -336,9 +342,12 @@ def _quantile_block(params: MdtParams, q: np.ndarray, out: np.ndarray):
             f[bad] = _newton(params, target[bad], y_bad, lo, hi, f_tol[bad],
                              np.where(inside, f[bad], f0))
             y[bad] = y_bad
-    # |S - q| = q |expm1(f)| <= expm1(max |f|); each draw's own residual
-    # only where that bound misses, so an error names the worst q
-    err, q_at = math.expm1(f_max), float(q_max)
+        if np.all(np.abs(f[bad]) <= f_tol[bad]):
+            err = _PASSED_ERR
+    # |S - q| = q |expm1(f)|: at most expm1(max |f|), or _PASSED_ERR when
+    # every draw passed its own test; each draw's residual only where the
+    # bound misses, so an error names the worst q
+    q_at = float(q_max)
     if not err <= _RESIDUAL_TOL:
         errs = q * np.abs(np.expm1(f))
         worst = int(np.argmax(errs))

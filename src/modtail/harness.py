@@ -6,10 +6,14 @@ every bound curve against it.  The sup over all n is truncated to the
 plan's n-grid; per-n curves are kept in the report so saturation can be
 judged.  One chunked loop serves every statistic: chunk ci reads block
 ci of the seed's block-keyed stream, one 64-bit word per draw, so
-results do not depend on the worker count.  One pipeline turns a
-chunk's words into signed draws, in blocks of distribution._BLOCK words
-small enough to stay in cache: the block's uniforms go to a workspace
-buffer allocated once per chunk, quantile gives their magnitudes (for
+results do not depend on how many lanes run the chunks.  The caller is
+lane 0; the other lanes are processes forked for one call and joined
+before it returns, min(threads, usable CPUs, chunks) lanes in all, so
+no lane waits on another's GIL (see _run; Linux only).  One pipeline
+turns a chunk's words into signed draws, in blocks of
+distribution._BLOCK words small enough to stay in cache: the block's
+uniforms go to a workspace buffer allocated once per chunk, quantile
+gives their magnitudes (for
 the pure power law in place, the whole block accepted on its largest
 log-space residual), and the sign from the same words is set as the
 draws are written over those words.  So the chunk's words are its only
@@ -41,8 +45,8 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -190,13 +194,49 @@ def _chunks(reps: int, per_rep: int) -> List[Tuple[int, int]]:
             for ci, start in enumerate(range(0, reps, size))]
 
 
+def _lane(fn, arg, conn) -> None:
+    """A child lane's body: send (True, fn(arg)), or (False, the
+    exception it raised), back through conn."""
+    try:
+        result = (True, fn(arg))
+    except Exception as exc:
+        result = (False, exc)
+    conn.send(result)
+    conn.close()
+
+
+def _start_lane(fn, arg):
+    """Fork a child that computes fn(arg): (the child, the pipe end its
+    result arrives on).  The child inherits fn and whatever it reaches,
+    so nothing but the result is pickled."""
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_lane, args=(fn, arg, send))
+    child.start()
+    send.close()
+    return child, recv
+
+
 def _run(seed: int, reps: int, per_rep: int, n: int, threads: int,
          statistic: Callable[[np.ndarray, int], np.ndarray]):
     """Sum statistic(words, m) over the chunks of reps replications.
 
     Chunk ci holds m replications and reads the first m * per_rep words
     of block ci of the seed's stream; a NumericError names the seed, the
-    chunk and n.
+    chunk and n.  The chunks run in min(threads, usable CPUs, chunks)
+    lanes, lane k taking chunks k, k + lanes, ...: the caller runs lane
+    0, and each other lane is a child forked for this call, which
+    inherits statistic and sends back only its lane's sum or the
+    exception it raised.  Every child is joined before the call returns
+    or raises.  The statistic must be integer-valued (counts), so the
+    sum does not depend on the lane count.  Linux only: forking and
+    os.sched_getaffinity both need it.  Fork, not spawn: a spawned child
+    could not receive the closure statistic and would import numpy and
+    modtail again on every call.  A fork copies the calling thread only,
+    which is safe while no other thread of the caller holds a lock the
+    lanes take; modtail starts no thread.  Threads in one process would
+    not do: the GIL, handed back and forth around each block's short
+    numpy calls, keeps the second CPU nearly idle.
     """
 
     def run(chunk):
@@ -207,13 +247,37 @@ def _run(seed: int, reps: int, per_rep: int, n: int, threads: int,
             exc.diagnostics.update(seed=seed, n=n, chunk=ci)
             raise
 
+    def lane(k):
+        return sum(map(run, chunks[k::lanes]))
+
     chunks = _chunks(reps, per_rep)
-    # more workers than usable CPUs or than chunks only add contention
-    workers = min(threads, len(os.sched_getaffinity(0)), len(chunks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return sum(pool.map(run, chunks))
-    return sum(map(run, chunks))
+    # more lanes than usable CPUs or than chunks only add contention
+    lanes = min(threads, len(os.sched_getaffinity(0)), len(chunks))
+    children = []
+    try:
+        for k in range(1, lanes):
+            children.append(_start_lane(lane, k))
+        total = lane(0)
+        for child, recv in children:
+            try:
+                ok, value = recv.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"a sampling lane exited with code "
+                                   f"{child.exitcode} and no result") from None
+            if not ok:
+                raise value
+            total = total + value
+        return total
+    except BaseException:
+        # the call fails: what the other lanes would send is not needed
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, recv in children:
+            child.join()
+            recv.close()
 
 
 def _draws(params: MdtParams, words: np.ndarray) -> np.ndarray:

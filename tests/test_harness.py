@@ -1,5 +1,6 @@
 import hashlib
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -140,38 +141,43 @@ def test_prefix_sums_select_the_running_sum(grid, lead, width, seed):
 
 
 def test_chunk_layout_ignores_threads():
-    layouts = []
-    for threads in (1, 2, 8):
-        seen = []
+    # each chunk reports (1, words, replications) in the row of the
+    # stream block it read, so what a child lane saw reaches the caller
+    firsts = [int(stream_words(3, ci, 1)[0]) for ci in (0, 1)]
 
-        def statistic(words, m):
-            seen.append((int(words[0]), words.size, m))
-            return m
+    def statistic(words, m):
+        seen = np.zeros((2, 3), dtype=np.int64)
+        seen[firsts.index(int(words[0]))] = (1, words.size, m)
+        return seen
 
-        assert harness._run(3, 5000, 100, 100, threads, statistic) == 5000
-        layouts.append(sorted(seen))
-    assert layouts[0] == layouts[1] == layouts[2]
+    layouts = [harness._run(3, 5000, 100, 100, threads, statistic)
+               for threads in (1, 2, 8)]
+    assert layouts[0][:, 2].sum() == 5000
+    assert np.array_equal(layouts[0], layouts[1])
+    assert np.array_equal(layouts[0], layouts[2])
     # about 2**18 words per chunk; chunk ci reads block ci of the stream
     assert harness._chunks(5000, 100) == [(0, 2621), (1, 2379)]
-    firsts = {int(stream_words(3, ci, 1)[0]) for ci in (0, 1)}
-    assert {w for w, _, _ in layouts[0]} == firsts
+    assert layouts[0].tolist() == [[1, 262100, 2621], [1, 237900, 2379]]
 
 
 def test_worker_pool_capped_by_chunks(monkeypatch):
-    sizes = []
+    # lanes = min(threads, usable CPUs, chunks); the caller runs lane 0,
+    # so a child is started for each of lanes 1, 2, ...
+    started = []
+    start = harness._start_lane
 
-    class Recording(harness.ThreadPoolExecutor):
-        def __init__(self, max_workers=None, **kw):
-            sizes.append(max_workers)
-            super().__init__(max_workers=max_workers, **kw)
+    def recording(fn, k):
+        started.append(k)
+        return start(fn, k)
 
-    monkeypatch.setattr(harness, "ThreadPoolExecutor", Recording)
-    # 2 chunks, then 1 chunk, each asked for 8 threads
-    for reps in (5000, 100):
-        assert harness._run(3, reps, 100, 100, 8, lambda w, m: m) == reps
-        chunks = len(harness._chunks(reps, 100))
-        assert all(s <= chunks for s in sizes)
-        sizes.clear()
+    monkeypatch.setattr(harness, "_start_lane", recording)
+    for cpus, threads, reps, lanes in ((2, 8, 5000, 2), (2, 8, 100, 1),
+                                       (1, 8, 5000, 1), (2, 1, 5000, 1)):
+        monkeypatch.setattr(harness.os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        assert harness._run(3, reps, 100, 100, threads, lambda w, m: m) == reps
+        assert started == list(range(1, lanes))
+        started.clear()
 
 
 @pytest.mark.parametrize("beta,gamma,v,digest", [
@@ -410,3 +416,47 @@ def test_quantile_failure_names_its_chunk(runner, monkeypatch):
     assert diag["law"] == PARAMS.describe()
     assert 0 < diag["q"] <= 1
     assert (diag["seed"], diag["n"], diag["chunk"]) == (5, 3, 0)
+
+
+@pytest.mark.parametrize("runner", ["simulate", "simulate_field"])
+@pytest.mark.parametrize("chunk", [0, 1])
+def test_lane_failure_reaches_the_caller(runner, chunk, monkeypatch):
+    # the quantile fails on one stream block only, in a plan of two
+    # chunks on two lanes: chunk 1 fails in the child, chunk 0 in the
+    # caller while the child still samples
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})
+    tol = distribution._RESIDUAL_TOL
+    monkeypatch.setattr(distribution, "_RESIDUAL_TOL", tol)
+
+    def words(seed, block, count):
+        distribution._RESIDUAL_TOL = -1.0 if block == chunk else tol
+        return stream_words(seed, block, count)
+
+    monkeypatch.setattr(harness, "stream_words", words)
+    with pytest.raises(NumericError) as info:
+        if runner == "simulate":
+            simulate(small_plan(seed=5, n_grid=(3,), reps=100000, threads=2))
+        else:
+            simulate_field(FieldModel(PARAMS, (1.0, 0.5), resolution=4),
+                           small_plan(seed=5, n_grid=(3,), reps=30000, threads=2))
+    diag = info.value.diagnostics
+    assert diag["law"] == PARAMS.describe()
+    assert 0 < diag["q"] <= 1
+    assert (diag["seed"], diag["n"], diag["chunk"]) == (5, 3, chunk)
+    assert multiprocessing.active_children() == []
+
+
+def test_lane_count_invariance():
+    # five and three chunks, so two lanes split them unevenly
+    model = FieldModel(PARAMS, (1.0, 0.5), resolution=4)
+    runs = (lambda threads: simulate(small_plan(
+                n_grid=(1, 2, 4, 8, 16, 32, 64), threads=threads)),
+            lambda threads: simulate_field(model, small_plan(
+                reps=40000, threads=threads)))
+    for run in runs:
+        base = run(1)
+        for threads in (2, 8):
+            report = run(threads)
+            assert multiprocessing.active_children() == []
+            assert report.counts.tobytes() == base.counts.tobytes()
+            assert report.qhat.tobytes() == base.qhat.tobytes()
