@@ -22,7 +22,7 @@ print(f"\n{'u':>12} " + " ".join(f"{c.provenance:>18}" for c in curves))
 for u in u_grid:
     row = []
     for c in curves:
-        row.append(f"{float(c(u)):18.3e}" if u >= c.u_min else f"{'-':>18}")
+        row.append(f"{float(c.evaluate(u)):18.3e}" if u >= c.u_min else f"{'-':>18}")
     print(f"{u:12.4g} " + " ".join(row))
 
 print("\nThe witness is a true lower bound on Q(u) = sup_n P(|S_n| > u);")

@@ -19,8 +19,8 @@ from .bounds import (TailCurve, c1_pessimistic, calibrate_closed_constant,
                      lower_witness, q_bound_closed, q_bound_fenchel,
                      rosenthal_constant, rosenthal_sum_moment, witness_curve)
 from .entropy import (FieldModel, MetricEntropyModel, check_entropy_condition,
-                      entropy_integral, finite_net_union_bound,
-                      natural_distance_bound, uniform_tail_bound)
+                      entropy_integral, field_entropy_model,
+                      finite_net_union_bound, natural_distance_bound)
 from .harness import (CertificationResult, EmpiricalTailReport, SimulationPlan,
                       certify, confidence_radius, coverage_miss_rate,
                       default_u_grid, dkw_halfwidth, make_plan, simulate,

@@ -163,9 +163,6 @@ class TailCurve:
         if self.kind not in ("upper", "lower"):
             raise DomainError(f"curve kind must be 'upper' or 'lower', got {self.kind!r}")
 
-    def __call__(self, u):
-        return self.fn(u)
-
     def is_upper_bound(self) -> bool:
         return self.kind == "upper"
 

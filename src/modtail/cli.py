@@ -18,8 +18,8 @@ from ._version import __version__
 from .bounds import (calibrate_closed_constant, closed_curve,
                      fenchel_curve_bound, witness_curve)
 from .config import RunConfig
-from .entropy import (MetricEntropyModel, check_entropy_condition,
-                      entropy_integral, finite_net_union_bound,
+from .entropy import (check_entropy_condition, entropy_integral,
+                      field_entropy_model, finite_net_union_bound,
                       net_bound_level)
 from .errors import ConfigError, DomainError, NumericError
 from .fenchel import FenchelCurve, GeneratingFunction
@@ -46,6 +46,11 @@ def _outdir(cfg: RunConfig, override) -> Path:
 
 def _header(cfg: RunConfig) -> str:
     return f"# modtail v{__version__}\n{cfg.header_lines()}"
+
+
+def _write_stamped(cfg: RunConfig, path: Path, payload) -> None:
+    write_json(path, {"version": __version__, "config_hash": cfg.digest(),
+                      **payload})
 
 
 def _curves(cfg: RunConfig, params, c_calibrated=None):
@@ -81,10 +86,9 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     params = cfg.params()
     report = simulate(_plan(cfg, params))
     report.to_csv(out / "simulation.csv", header_extra=_header(cfg))
-    write_json(out / "simulation.json",
-               {"version": __version__, "config_hash": cfg.digest(),
-                "plan": report.plan.echo(), "dkw": report.dkw,
-                "qhat": [float(x) for x in report.qhat]})
+    _write_stamped(cfg, out / "simulation.json",
+                   {"plan": report.plan.echo(), "dkw": report.dkw,
+                    "qhat": [float(x) for x in report.qhat]})
     return EXIT_OK
 
 
@@ -102,10 +106,9 @@ def cmd_certify(cfg: RunConfig, out: Path) -> int:
     report = simulate(plan)
     result = certify(report, _curves(cfg, params, c_calibrated=c_override))
     report.to_csv(out / "certification_report.csv", header_extra=_header(cfg))
-    payload = {"version": __version__, "config_hash": cfg.digest(),
-               "plan": report.plan.echo(), "constants": {"c1": c_override},
-               **result.summary()}
-    write_json(out / "certification.json", payload)
+    _write_stamped(cfg, out / "certification.json",
+                   {"plan": report.plan.echo(), "constants": {"c1": c_override},
+                    **result.summary()})
     return EXIT_OK if result.passed else EXIT_CERT_FAIL
 
 
@@ -114,35 +117,33 @@ def cmd_confidence(cfg: RunConfig, out: Path) -> int:
     conf = cfg.raw["confidence"]
     c = cfg.raw["bounds"]["c1"]
     res = confidence_radius(params, n=conf["n"], delta=conf["delta"], c=c)
-    payload = {"version": __version__, "config_hash": cfg.digest(),
-               "n": res.n, "delta": res.delta, "attained": res.attained,
-               "radius": None if math.isnan(res.radius) else res.radius,
-               "constant": res.constant,
-               "certificate": (f"P(|a_n - a| > {res.radius:.6g}) <= {res.delta:g}"
-                               if res.attained else
-                               f"bound never drops below delta in {res.search_range}")}
-    write_json(out / "confidence.json", payload)
+    _write_stamped(cfg, out / "confidence.json",
+                   {"n": res.n, "delta": res.delta, "attained": res.attained,
+                    "radius": None if math.isnan(res.radius) else res.radius,
+                    "constant": res.constant,
+                    "certificate": (f"P(|a_n - a| > {res.radius:.6g}) <= {res.delta:g}"
+                                    if res.attained else
+                                    f"bound never drops below delta in {res.search_range}")})
     return EXIT_OK
 
 
 def cmd_entropy(cfg: RunConfig, out: Path) -> int:
     params = cfg.params()
-    ent = cfg.raw["entropy"]
-    model = MetricEntropyModel.from_holder(d=ent["d"], alpha=ent["alpha"],
-                                           diameter=ent["C5"], c10=ent["C10"])
-    ok = check_entropy_condition(ent["d"], ent["alpha"], params.beta, params.gamma)
-    integral = entropy_integral(model, params.beta, params.gamma)
+    # the field's model has d = alpha = 1; the condition rejects
+    # gamma <= -1 before the model's GLS norm is computed
+    ok = check_entropy_condition(1, 1.0, params.beta, params.gamma)
     field = cfg.field_model()
+    integral = entropy_integral(field_entropy_model(field), params.beta,
+                                params.gamma)
     u_grid = _u_grid(cfg, params)
     net = [finite_net_union_bound(field, params, float(u)) for u in u_grid]
     delta = cfg.raw["confidence"]["delta"]
-    write_json(out / "entropy.json",
-               {"version": __version__, "config_hash": cfg.digest(),
-                "condition_satisfied": ok,
-                "entropic_integral": None if math.isinf(integral) else integral,
-                "net_bound_u": [float(u) for u in u_grid],
-                "net_bound": net, "net_bound_delta": delta,
-                "net_bound_u_at_delta": net_bound_level(field, params, delta)})
+    _write_stamped(cfg, out / "entropy.json",
+                   {"condition_satisfied": ok,
+                    "entropic_integral": None if math.isinf(integral) else integral,
+                    "net_bound_u": [float(u) for u in u_grid],
+                    "net_bound": net, "net_bound_delta": delta,
+                    "net_bound_u_at_delta": net_bound_level(field, params, delta)})
     return EXIT_OK
 
 

@@ -56,10 +56,6 @@ _TABLE = {
     "plan.threads": _Key((int,), 1, range=(1, math.inf, True)),
     "confidence.delta": _Key(_NUM, 1e-3, range=(0, 1, False)),
     "confidence.n": _Key((int,), 10000, range=(1, math.inf, True)),
-    "entropy.d": _Key((int,), 1),
-    "entropy.alpha": _Key(_NUM, 1.0),
-    "entropy.C5": _Key(_NUM, 1.0),
-    "entropy.C10": _Key(_NUM, 1.0),
     "entropy.weights": _Key((list,), [1.0, 0.5, 0.25], items=_NUM),
     "entropy.M": _Key((int,), 64),
     "output.dir": _Key((str,), "out"),

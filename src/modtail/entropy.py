@@ -1,4 +1,4 @@
-"""Metric entropy, the entropic integral, and uniform bounds for fields.
+"""Metric entropy, the entropic integral, and a grid bound for a field.
 
 The entropy side: the Hoelder covering model N(eps) = C10 * eps**(-d/alpha)
 on (0, C5].  The entropic integral int_0^C5 N(eps)**((gamma+1)/beta) d eps
@@ -8,8 +8,9 @@ power integral, in closed form.
 
 The field side: a concrete reference random field on [0, 1], a finite
 Fourier mix of independent heavy-tailed amplitudes with uniform phases.
-It has computable Lipschitz envelopes, which a grid union bound turns
-into a tail bound for the supremum.
+Its natural distance has a computable bound, from which
+field_entropy_model derives the field's own covering model, and its
+Lipschitz envelopes feed a grid union bound for the supremum.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .bounds import c1_pessimistic, closed_u_min, q_bound_closed
+from .bounds import closed_u_min, q_bound_closed
 from .distribution import MdtParams, _bisect
 from .errors import DomainError, NumericError
 from .fenchel import GeneratingFunction, gls_norm_from_moments
@@ -152,24 +153,23 @@ def natural_distance_bound(model: FieldModel, z1: float, z2: float) -> float:
     return float(k * np.sum(np.abs(model.weights) * env))
 
 
-def uniform_tail_bound(model: MetricEntropyModel, params: MdtParams, u,
-                       c6: Optional[float] = None):
-    """Tail bound for the supremum of the normalized field sums.
+def field_entropy_model(model: FieldModel) -> MetricEntropyModel:
+    """The field's covering model under natural_distance_bound: d = 1,
+    alpha = 1, C5 = D and C10 = L/2 + D.
 
-    q_bound_closed with constant c6: in regime A its shape is
-    u**(-beta) (ln u)**(gamma+1) V(ln u).  Unless c6 is given, the
-    constant is the scalar chain constant c1_pessimistic scaled by the
-    entropic mass (1 + I/C5)**beta; no proved chain links that product
-    to the field supremum, so it is a heuristic constant.
+    With K the component GLS norm, the bound is at most min(D, L |dz|),
+    where L = K lip_sum (each envelope is at most 2 pi j |dz|) and
+    D = 2 K amp_sum (each is at most 2).  A ball of radius eps holds the
+    interval of half-width eps / L about its centre, so ceil(L / (2 eps))
+    balls cover [0, 1], and for eps <= D that is at most
+    L / (2 eps) + 1 <= (L/2 + D) / eps.  The GLS norm needs gamma > -1.
     """
-    if params.gamma <= -1:
-        raise DomainError("uniform_tail_bound requires gamma > -1")
-    integral = entropy_integral(model, params.beta, params.gamma)
-    if not np.isfinite(integral):
-        raise DomainError("entropy condition violated: entropic integral diverges")
-    if c6 is None:
-        c6 = c1_pessimistic(params) * (1.0 + integral / model.diameter) ** params.beta
-    return q_bound_closed(params, u, c=c6)
+    if model.params.gamma <= -1:
+        raise DomainError("the field's entropy model requires gamma > -1")
+    k = _component_gls_norm(model.params)
+    diameter = 2.0 * k * model.amp_sum
+    return MetricEntropyModel(d=1, alpha=1.0, diameter=diameter,
+                              c10=k * model.lip_sum / 2.0 + diameter)
 
 
 def finite_net_union_bound(model: FieldModel, params: MdtParams, u: float) -> float:

@@ -10,7 +10,7 @@ from modtail.bounds import c1_pessimistic
 from modtail.distribution import make_mdt
 from modtail.cli import main
 from modtail.config import RunConfig
-from modtail.entropy import finite_net_union_bound
+from modtail.entropy import _component_gls_norm, finite_net_union_bound
 
 FAST_PLAN = """
 plan:
@@ -114,7 +114,32 @@ def test_entropy_command(tmp_path, cfg):
     assert run(["entropy", "--config", cfg, "--out", str(out)]) == 0
     payload = json.loads((out / "entropy.json").read_text())
     assert payload["condition_satisfied"] is True
-    assert payload["entropic_integral"] == pytest.approx(4.0 / 3.0, rel=1e-8)
+    # the field's own covering model: d = alpha = 1, C5 = 2 K amp_sum and
+    # C10 = K lip_sum / 2 + C5, K the component GLS norm; the integral
+    # of C10**(1/4) eps**(-1/4) over (0, C5]
+    field = RunConfig.load(cfg).field_model()
+    k = _component_gls_norm(field.params)
+    c5 = 2.0 * k * field.amp_sum
+    c10 = k * field.lip_sum / 2.0 + c5
+    expected = c10 ** 0.25 * c5 ** 0.75 / 0.75
+    assert expected == pytest.approx(34.6, abs=0.05)
+    assert payload["entropic_integral"] == pytest.approx(expected, rel=1e-8)
+
+
+@pytest.mark.parametrize("key", ["d", "alpha", "C5", "C10"])
+def test_entropy_model_keys_are_gone(tmp_path, capsys, key):
+    # the covering model comes from the field, so these are unknown keys
+    path = tmp_path / "old.yaml"
+    path.write_text(f"entropy:\n  {key}: 1\n")
+    assert run(["entropy", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert f"'entropy.{key}'" in capsys.readouterr().err
+
+
+def test_entropy_rejects_gamma_at_most_minus_one(tmp_path, capsys):
+    path = tmp_path / "b.yaml"
+    path.write_text("law:\n  beta: 3.0\n  gamma: -1.0\n")
+    assert run(["entropy", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert "entropy condition requires gamma > -1" in capsys.readouterr().err
 
 
 def test_entropy_reports_where_the_net_bound_reaches_delta(tmp_path):
@@ -304,10 +329,6 @@ READERS = {
     "plan.dkw_delta": ("simulate", 0.01, {}),
     "confidence.delta": ("confidence", 0.01, {}),
     "confidence.n": ("confidence", 500, {}),
-    "entropy.d": ("entropy", 2, {}),
-    "entropy.alpha": ("entropy", 0.5, {}),
-    "entropy.C5": ("entropy", 2.0, {}),
-    "entropy.C10": ("entropy", 2.0, {}),
     # the field's union bound is clamped at 1 below u ~ 1e3
     "entropy.weights": ("entropy", [1.0, 0.25], {"plan.u_max": 1e4}),
     "entropy.M": ("entropy", 32, {"plan.u_max": 1e4}),

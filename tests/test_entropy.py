@@ -7,8 +7,8 @@ from scipy.integrate import quad
 from modtail.distribution import make_mdt
 from modtail.entropy import (FieldModel, MetricEntropyModel,
                              check_entropy_condition, entropy_integral,
-                             finite_net_union_bound, natural_distance_bound,
-                             net_bound_level, uniform_tail_bound)
+                             field_entropy_model, finite_net_union_bound,
+                             natural_distance_bound)
 from modtail.errors import DomainError
 from modtail.harness import make_plan, simulate_field
 
@@ -112,27 +112,46 @@ def test_distance_domain():
         natural_distance_bound(CANONICAL_FIELD, -0.1, 0.5)
 
 
-def test_uniform_tail_bound_shape():
-    params = make_mdt(4.0, 0.0)
-    model = MetricEntropyModel.from_holder(d=1, alpha=1.0)
-    u = np.geomspace(E, 1e6, 50)
-    vals = uniform_tail_bound(model, params, u)
-    assert np.all((0 <= vals) & (vals <= 1))
-    assert np.all(np.diff(vals) <= 1e-15)
-    # far tail decays at the u**(-beta) (ln u)**(gamma+1) rate
-    big = uniform_tail_bound(model, params, np.array([1e8, 1e10]))
-    obs = math.log(big[1] / big[0]) / math.log(1e10 / 1e8)
-    assert obs == pytest.approx(-4.0, abs=0.05)
+def _greedy_cover_count(model, eps):
+    # balls of natural_distance_bound radius eps, laid left to right: each
+    # centre sits a half-width h past the first uncovered point, and the
+    # bound depends on |dz| alone and grows with it, so the ball reaches
+    # h past its centre too
+    lo, hi = 0.0, 1.0
+    if natural_distance_bound(model, 0.0, hi) > eps:
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if natural_distance_bound(model, 0.0, mid) <= eps else (lo, mid)
+        h = lo
+    else:
+        h = hi
+    count, left = 0, 0.0
+    while left < 1.0:
+        centre = min(left + h, 1.0)
+        assert natural_distance_bound(model, left, centre) <= eps * (1 + 1e-12)
+        count += 1
+        left = centre + h
+    return count
 
 
-def test_uniform_tail_bound_preconditions():
-    params = make_mdt(4.0, 0.0)
-    bad = MetricEntropyModel.from_holder(d=4, alpha=1.0)
+@pytest.mark.parametrize("beta,gamma,weights", [
+    (4.0, 0.0, (1.0, 0.5, 0.25)),
+    (3.0, 0.5, (1.0,)),
+    (2.5, -0.5, (0.2, -1.0, 0.0, 0.7)),
+    (6.0, 2.0, (3.0, 0.1)),
+])
+def test_field_entropy_model_bounds_a_greedy_cover(beta, gamma, weights):
+    field = FieldModel(params=make_mdt(beta, gamma), weights=weights)
+    model = field_entropy_model(field)
+    assert (model.d, model.alpha) == (1, 1.0)
+    for eps in model.diameter * np.geomspace(1e-3, 1.0, 25):
+        assert _greedy_cover_count(field, eps) <= model.c10 / eps
+
+
+def test_field_entropy_model_needs_gamma_above_minus_one():
+    field = FieldModel(params=make_mdt(3.0, -1.0), weights=(1.0,))
     with pytest.raises(DomainError):
-        uniform_tail_bound(bad, params, 10.0)
-    good = MetricEntropyModel.from_holder(d=1, alpha=1.0)
-    with pytest.raises(DomainError):
-        uniform_tail_bound(good, params, 1.0)
+        field_entropy_model(field)
 
 
 def test_union_bound_single_point_reduces_to_scalar():
