@@ -17,7 +17,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .slowvary import ONE, SlowlyVarying, format_num, format_sv, sv_log
+from .slowvary import (ONE, SlowlyVarying, format_num, format_sv, sv_log,
+                       ufunc_into)
 
 _E = math.e
 
@@ -69,17 +70,28 @@ class MdtParams:
         return _InverseTable(self)
 
 
-def _log_tail_y(params: MdtParams, y, slope: bool = False):
+def _log_tail_y(params: MdtParams, y, slope: bool = False, work=None):
     """ln of the tail formula at y = ln u >= 1, or with slope the pair
-    (ln tail, d/dy ln tail).  Unvalidated (callers check y)."""
-    lv = sv_log(params.v, y, deriv=slope)
-    out = (lv[0] if slope else lv) - params.beta * y
+    (ln tail, d/dy ln tail).  Unvalidated (callers check y).  work, when
+    given, is laid out as sv_log's: the results are written to it, and
+    nothing block-sized is allocated."""
+    if work is None:
+        work = (None,) * 4
+    at = ufunc_into
+    s = work[2] if slope else work[1]
+    lv = sv_log(params.v, y, deriv=slope, work=work)
+    out = at(np.subtract, lv[0] if slope else lv,
+             at(np.multiply, y, params.beta, out=s), out=work[0])
     if params.gamma:
-        out += params.gamma * np.log(y)
+        out = at(np.add, out,
+                 at(np.multiply, at(np.log, y, out=s), params.gamma, out=s),
+                 out=work[0])
     if not slope:
         return out
-    d = lv[1] - params.beta
-    return out, (d + params.gamma / y if params.gamma else d)
+    d = at(np.subtract, lv[1], params.beta, out=work[1])
+    if params.gamma:
+        d = at(np.add, d, at(np.divide, params.gamma, y, out=s), out=work[1])
+    return out, d
 
 
 def make_mdt(beta: float, gamma: float, v: SlowlyVarying = ONE,
@@ -185,12 +197,22 @@ class _InverseTable:
         self.lo = y[np.maximum(k - 1, 0)]
         self.hi = y[np.minimum(k + 2, y.size - 1)]
 
-    def start(self, g: np.ndarray):
-        """The node index k below g, and linear interpolation at g."""
-        t = np.log1p(g)
+    def start(self, g: np.ndarray, k=None, y=None, work=(None, None)):
+        """The node index k below g, and linear interpolation y at g.
+
+        Written to k (intp) and y when given, with the two arrays in
+        work as scratch, all shaped like g and apart from it."""
+        t = np.log1p(g, out=work[0])
         t *= self.scale
-        k = np.minimum(t.astype(np.intp), self.y.size - 2)
-        return k, self.y[k] + (g - self.g[k]) * self.slope[k]
+        # the cast to intp truncates t >= 0, as astype does
+        k = np.minimum(t, self.y.size - 2, out=k, dtype=np.intp,
+                       casting="unsafe")
+        y = np.take(self.y, k, out=y, mode="clip")
+        d = np.subtract(g, np.take(self.g, k, out=work[0], mode="clip"),
+                        out=work[0])
+        d *= np.take(self.slope, k, out=work[1], mode="clip")
+        y += d
+        return k, y
 
 
 def _newton(params: MdtParams, target: np.ndarray, y: np.ndarray,
@@ -252,15 +274,17 @@ def quantile(params: MdtParams, q):
 
     Solves for y = ln u against the target g = -ln q, vectorized over q.
     For the pure power law (gamma = 0, constant V) the start is the exact
-    inverse y = y_star + g / beta, which a block accepts at once when its
-    largest residual passes the strictest per-draw test.  Every other law
-    in the grammar starts from linear interpolation in a monotone table
-    of (-ln S(y), y), built once per law and cached on the params, and
-    takes one Newton step for all draws at once.  The draws that fail the
-    residual test after it resume the safeguarded loop: Newton with
-    bisection inside a bracket of table nodes.  Each draw's last residual
-    is its post-check: NumericError, with the law and the worst q, unless
-    every |survival(u) - q| <= 1e-10.
+    inverse y = y_star + g / beta.  Every other law in the grammar starts
+    from linear interpolation in a monotone table of (-ln S(y), y),
+    built once per law and cached on the params, and takes one Newton
+    step for all draws at once, each stage written into one workspace
+    per block.  Either way a block is accepted whole when its largest
+    log-space residual passes the strictest per-draw test.  Otherwise
+    the draws that fail their own test resume the safeguarded loop:
+    Newton with bisection inside a bracket (for a tabled law, of table
+    nodes).  Each draw's last residual is its post-check: NumericError,
+    with the law and the worst q, unless every |survival(u) - q| <=
+    1e-10.
     """
     q_arr = np.asarray(q, dtype=float)
     flat = q_arr.reshape(-1)
@@ -296,38 +320,52 @@ def _pure_power(params: MdtParams) -> bool:
 def _quantile_block(params: MdtParams, q: np.ndarray, out: np.ndarray):
     """quantile on one block, written to out.  Returns a bound on the
     largest residual and a q; whenever the bound misses _RESIDUAL_TOL they
-    are the largest residual itself and its q."""
+    are the largest residual itself and its q.
+
+    A tabled law's start and Newton step go through one workspace of
+    seven rows, with y in out, so the block allocates no other
+    block-sized array unless its largest residual fails the block test.
+    """
     q_max = q.max()
     if not (q.min() > 0 and q_max <= 1):
         raise DomainError("quantile requires q in (0, 1]")
     y_star = math.log(params.u_star)
-    target = np.log(q)
-    err = math.inf
-    if _pure_power(params):
+    pure = _pure_power(params)
+    if pure:
+        target = np.log(q)
         y = np.divide(target, -params.beta, out=out)
         y += y_star
         target += _log_tail_y(params, y_star)
         f = _log_tail_y(params, y)
         f -= target
-        f_max = max(f.max(), -f.min())
-        # within f_tol at q = 1, its smallest value, every draw passes;
-        # a NaN fails
-        if f_max <= 1e-13 + 3e-15:
-            err = math.expm1(f_max)
-        else:
-            f = _newton(params, target, y, y_star,
-                        y_star + _TABLE_G_MAX / params.beta, _f_tol(q))
     else:
         table = params._inverse_table
-        k, y0 = table.start(-target)
+        work = np.empty((7, q.size))
+        target = np.log(q, out=work[0])
+        # g = -target in the row f0 takes next
+        k, y0 = table.start(np.negative(target, out=work[3]),
+                            work[1].view(np.intp), work[2], work[5:7])
         target += _log_tail_y(params, y_star)
-        f0, slope = _log_tail_y(params, y0, slope=True)
+        f0, slope = _log_tail_y(params, y0, slope=True, work=work[3:7])
         f0 -= target
         # f decreases on [y_star, inf), so any y there that passes the
         # residual test is a root; a NaN from a vanishing slope fails it
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            y = np.maximum(y0 - f0 / slope, y_star)
-            f = _log_tail_y(params, y) - target
+            y = np.divide(f0, slope, out=out)
+            np.subtract(y0, y, out=y)
+            np.maximum(y, y_star, out=y)
+            f = _log_tail_y(params, y, work=work[4:6])
+            f -= target
+    err = math.inf
+    f_max = max(f.max(), -f.min())
+    # within f_tol at q = 1, its smallest value, every draw passes; a NaN
+    # fails
+    if f_max <= 1e-13 + 3e-15:
+        err = math.expm1(f_max)
+    elif pure:
+        f = _newton(params, target, y, y_star,
+                    y_star + _TABLE_G_MAX / params.beta, _f_tol(q))
+    else:
         f_tol = _f_tol(q)
         bad = np.flatnonzero(~(np.abs(f) <= f_tol))
         if bad.size:
@@ -344,9 +382,10 @@ def _quantile_block(params: MdtParams, q: np.ndarray, out: np.ndarray):
             y[bad] = y_bad
         if np.all(np.abs(f[bad]) <= f_tol[bad]):
             err = _PASSED_ERR
-    # |S - q| = q |expm1(f)|: at most expm1(max |f|), or _PASSED_ERR when
-    # every draw passed its own test; each draw's residual only where the
-    # bound misses, so an error names the worst q
+    # |S - q| = q |expm1(f)|: at most expm1(max |f|) for an accepted
+    # block, or _PASSED_ERR when every draw passed its own test; each
+    # draw's residual only where the bound misses, so an error names the
+    # worst q
     q_at = float(q_max)
     if not err <= _RESIDUAL_TOL:
         errs = q * np.abs(np.expm1(f))

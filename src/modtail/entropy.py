@@ -130,6 +130,11 @@ class FieldModel:
 
 @lru_cache(maxsize=32)
 def _component_gls_norm(params: MdtParams) -> float:
+    """The GLS norm of one component's amplitude law, defined for
+    gamma > -1 only, as the entropy condition is: below it the norm comes
+    out of a floored theta and bounds nothing."""
+    if params.gamma <= -1:
+        raise DomainError("the component GLS norm requires gamma > -1")
     psi = GeneratingFunction.from_theta(params)
     curve = MomentCurve.compute(params, default_p_grid(params, n=25))
     return gls_norm_from_moments(curve, psi).value
@@ -164,8 +169,6 @@ def field_entropy_model(model: FieldModel) -> MetricEntropyModel:
     balls cover [0, 1], and for eps <= D that is at most
     L / (2 eps) + 1 <= (L/2 + D) / eps.  The GLS norm needs gamma > -1.
     """
-    if model.params.gamma <= -1:
-        raise DomainError("the field's entropy model requires gamma > -1")
     k = _component_gls_norm(model.params)
     diameter = 2.0 * k * model.amp_sum
     return MetricEntropyModel(d=1, alpha=1.0, diameter=diameter,

@@ -13,9 +13,9 @@ no lane waits on another's GIL (see _run; Linux only).  One pipeline
 turns a chunk's words into signed draws, in blocks of
 distribution._BLOCK words small enough to stay in cache: the block's
 uniforms go to a workspace buffer allocated once per chunk, quantile
-gives their magnitudes (for
-the pure power law in place, the whole block accepted on its largest
-log-space residual), and the sign from the same words is set as the
+gives their magnitudes (for every law, the whole block accepted on its
+largest log-space residual; a general law's stages go through one
+workspace per block), and the sign from the same words is set as the
 draws are written over those words.  So the chunk's words are its only
 chunk-sized array: a second one, allocated and freed per chunk, made
 the allocator hand memory back and fault it in again every chunk.  Each

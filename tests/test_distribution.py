@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -203,6 +204,24 @@ def test_quantile_fallback_where_slope_vanishes(beta, gamma, v, monkeypatch):
     assert rel[q >= 1e-4].max() <= 1e-12
 
 
+def test_quantile_general_block_test(monkeypatch):
+    # a tabled law's block whose largest residual passes the strictest
+    # per-draw test is accepted whole, with no per-draw tolerance; where
+    # the slope vanishes at u_star the block takes the per-draw test
+    f_tol, sizes = distribution._f_tol, []
+
+    def recording(q):
+        sizes.append(q.size)
+        return f_tol(q)
+
+    monkeypatch.setattr(distribution, "_f_tol", recording)
+    q = word_uniforms(stream_words(7, 0, 1 << 12))
+    quantile(make_mdt(3.0, -2.0, LogPower(-1.0)), q)
+    assert sizes == []
+    quantile(make_mdt(3.0, 6.0), q)
+    assert sizes == [q.size]
+
+
 def _pure_power_per_draw(p, q):
     """The pure power law's per-draw path: the closed-form start, each
     draw's own f_tol and the safeguarded loop."""
@@ -262,6 +281,46 @@ def test_quantile_error_names_the_worst_residual(monkeypatch):
     diag = info.value.diagnostics
     assert diag["q"] == q[np.argmax(err)]
     assert diag["max_abs_err"] == err.max()
+
+
+@pytest.mark.parametrize("beta,gamma,v,digest", [
+    (3.0, -2.0, "lp(-1)",
+     "67b894cd56907b896830fd7b959c4ff6cc089ebdb5ac2190c0a2bf6e8efc4d5a"),
+    (3.0, -1.0, "c(2)",
+     "6f0fc19ffa9ec43bc9c1c7b69af228bbd868a0d99cf444b2bd225c13035e6934"),
+    (4.0, 0.5, "ilp(2)",
+     "17de49be73ca42c1fc08f67f748ffd5a9176e83594ad51d75bddfb798fd9053d"),
+    (2.5, 1.5, "c(0.5)*lp(1)*ilp(-1)",
+     "f0e3bd036cf743b575e084dbdf30a9804fdf3e69f71474d8b377409bc2184739")])
+def test_golden_quantile(beta, gamma, v, digest):
+    # the general-law kernel on four blocks of the stream, pinned by
+    # digest: V's a, b and ln c and gamma in regimes A, B and C, so a
+    # change to the table start, the Newton step or the block test must
+    # keep every draw bit for bit
+    q = word_uniforms(stream_words(18, 0, 1 << 16))
+    u = quantile(make_mdt(beta, gamma, parse_sv(v)), q)
+    assert hashlib.sha256(u.tobytes()).hexdigest() == digest
+
+
+@given(beta=st.floats(2.01, 8.0, exclude_min=True),
+       gamma=st.one_of(st.just(0.0), st.just(-1.0), st.floats(-6.0, 6.0)),
+       v=grammar_v, y_max=st.floats(1.0, 1e4))
+@settings(max_examples=150, deadline=None)
+def test_log_tail_into_a_workspace(beta, gamma, v, y_max):
+    # the log tail and its slope written into workspace rows equal the
+    # allocating call bit for bit, and land in the rows the layout names
+    p = MdtParams(beta, gamma, v)
+    y = np.geomspace(1.0, y_max, 97)
+    value = distribution._log_tail_y(p, y)
+    ref = distribution._log_tail_y(p, y, slope=True)
+    for rows in (2, 4):
+        work = np.full((rows, y.size), np.nan)
+        got = distribution._log_tail_y(p, y, slope=rows == 4, work=work)
+        got = got if rows == 4 else (got,)
+        for g, r, row in zip(got, ref if rows == 4 else (value,), work):
+            assert np.shares_memory(g, row)
+            assert g.tobytes() == np.broadcast_to(r, y.shape).tobytes()
+    assert value.tobytes() == ref[0].tobytes()
 
 
 def test_quantile_domain():

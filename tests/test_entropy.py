@@ -11,6 +11,7 @@ from modtail.entropy import (FieldModel, MetricEntropyModel,
                              natural_distance_bound)
 from modtail.errors import DomainError
 from modtail.harness import make_plan, simulate_field
+from modtail.slowvary import parse_sv
 
 E = math.e
 
@@ -152,6 +153,16 @@ def test_field_entropy_model_needs_gamma_above_minus_one():
     field = FieldModel(params=make_mdt(3.0, -1.0), weights=(1.0,))
     with pytest.raises(DomainError):
         field_entropy_model(field)
+
+
+@pytest.mark.parametrize("beta,gamma,v", [(3.0, -1.0, "c(1)"),
+                                           (3.0, -2.0, "lp(-1)")])
+def test_natural_distance_needs_gamma_above_minus_one(beta, gamma, v):
+    # the distance shares the component GLS norm's check with the entropy
+    # model, so it never returns a distance built from a floored theta
+    field = FieldModel(params=make_mdt(beta, gamma, parse_sv(v)), weights=(1.0,))
+    with pytest.raises(DomainError):
+        natural_distance_bound(field, 0.0, 0.5)
 
 
 def test_union_bound_single_point_reduces_to_scalar():
