@@ -275,16 +275,15 @@ def quantile(params: MdtParams, q):
     Solves for y = ln u against the target g = -ln q, vectorized over q.
     For the pure power law (gamma = 0, constant V) the start is the exact
     inverse y = y_star + g / beta.  Every other law in the grammar starts
-    from linear interpolation in a monotone table of (-ln S(y), y),
-    built once per law and cached on the params, and takes one Newton
-    step for all draws at once, each stage written into one workspace
-    per block.  Either way a block is accepted whole when its largest
-    log-space residual passes the strictest per-draw test.  Otherwise
-    the draws that fail their own test resume the safeguarded loop:
-    Newton with bisection inside a bracket (for a tabled law, of table
-    nodes).  Each draw's last residual is its post-check: NumericError,
-    with the law and the worst q, unless every |survival(u) - q| <=
-    1e-10.
+    from linear interpolation in a monotone table of (-ln S(y), y), built
+    once per law and cached on the params, and takes one Newton step for
+    all draws at once.  Either way each stage is written into one
+    workspace per block, and a block is accepted whole when its largest
+    log-space residual passes the strictest per-draw test.  Otherwise the
+    draws that fail their own test resume the safeguarded loop: Newton
+    with bisection inside a bracket (for a tabled law, of table nodes).
+    Each draw's last residual is its post-check: NumericError, with the
+    law and the worst q, unless every |survival(u) - q| <= 1e-10.
     """
     q_arr = np.asarray(q, dtype=float)
     flat = q_arr.reshape(-1)
@@ -322,26 +321,25 @@ def _quantile_block(params: MdtParams, q: np.ndarray, out: np.ndarray):
     largest residual and a q; whenever the bound misses _RESIDUAL_TOL they
     are the largest residual itself and its q.
 
-    A tabled law's start and Newton step go through one workspace of
-    seven rows, with y in out, so the block allocates no other
-    block-sized array unless its largest residual fails the block test.
+    Every stage goes through one workspace with y in out, two rows for a
+    pure power law and seven for a tabled law, so the block allocates no
+    other block-sized array unless its largest residual fails the test.
     """
     q_max = q.max()
     if not (q.min() > 0 and q_max <= 1):
         raise DomainError("quantile requires q in (0, 1]")
     y_star = math.log(params.u_star)
     pure = _pure_power(params)
+    work = np.empty((2 if pure else 7, q.size))
+    target = np.log(q, out=work[0])
     if pure:
-        target = np.log(q)
         y = np.divide(target, -params.beta, out=out)
         y += y_star
         target += _log_tail_y(params, y_star)
-        f = _log_tail_y(params, y)
+        f = _log_tail_y(params, y, work=(work[1],) * 2)
         f -= target
     else:
         table = params._inverse_table
-        work = np.empty((7, q.size))
-        target = np.log(q, out=work[0])
         # g = -target in the row f0 takes next
         k, y0 = table.start(np.negative(target, out=work[3]),
                             work[1].view(np.intp), work[2], work[5:7])

@@ -7,25 +7,24 @@ plan's n-grid; per-n curves are kept in the report so saturation can be
 judged.  One chunked loop serves every statistic: chunk ci reads block
 ci of the seed's block-keyed stream, one 64-bit word per draw, so
 results do not depend on how many lanes run the chunks.  The caller is
-lane 0; the other lanes are processes forked for one call and joined
-before it returns, min(threads, usable CPUs, chunks) lanes in all, so
-no lane waits on another's GIL (see _run; Linux only).  One pipeline
-turns a chunk's words into signed draws, in blocks of
-distribution._BLOCK words small enough to stay in cache: the block's
+lane 0; the others are children forked by os.fork, not multiprocessing,
+for one call and reaped before it returns, min(threads, usable CPUs,
+chunks) lanes in all, so no lane waits on another's GIL (see _run; Linux
+only).  One pipeline turns a chunk's words into signed draws, in blocks
+of distribution._BLOCK words small enough to stay in cache: the block's
 uniforms go to a workspace buffer allocated once per chunk, quantile
 gives their magnitudes (for every law, the whole block accepted on its
-largest log-space residual; a general law's stages go through one
-workspace per block), and the sign from the same words is set as the
-draws are written over those words.  So the chunk's words are its only
-chunk-sized array: a second one, allocated and freed per chunk, made
-the allocator hand memory back and fault it in again every chunk.  Each
-replication draws one block of n_max draws and every S_n on the n-grid
-is a prefix sum of it; the tails share draws, so the DKW level is split
-over the n-grid.  A chunk of m replications lays its draws out with n
-outermost: the k-th draw of replication r is word k m + r.  So each
-prefix sum is a run of vector adds over contiguous rows of m; laid out
-by replication, the field's short rows cost an inner loop per segment
-and row.
+largest log-space residual; every law's stages go through one workspace
+per block), and the sign from the same words is set as the draws are
+written over those words.  So the chunk's words are its only chunk-sized
+array: a second one, allocated and freed per chunk, made the allocator
+hand memory back and fault it in again every chunk.  Each replication
+draws one block of n_max draws and every S_n on the n-grid is a prefix
+sum of it; the tails share draws, so the DKW level is split over the
+n-grid.  A chunk of m replications lays its draws out with n outermost:
+the k-th draw of replication r is word k m + r.  So each prefix sum is a
+run of vector adds over contiguous rows of m; laid out by replication,
+the field's short rows cost an inner loop per segment and row.
 
 The field supremum calls no libm trig, and works in blocks in one
 workspace too.  Its chunk of m replications of J components reads
@@ -45,8 +44,9 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing
 import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -194,27 +194,28 @@ def _chunks(reps: int, per_rep: int) -> List[Tuple[int, int]]:
             for ci, start in enumerate(range(0, reps, size))]
 
 
-def _lane(fn, arg, conn) -> None:
-    """A child lane's body: send (True, fn(arg)), or (False, the
-    exception it raised), back through conn."""
-    try:
-        result = (True, fn(arg))
-    except Exception as exc:
-        result = (False, exc)
-    conn.send(result)
-    conn.close()
-
-
 def _start_lane(fn, arg):
-    """Fork a child that computes fn(arg): (the child, the pipe end its
-    result arrives on).  The child inherits fn and whatever it reaches,
-    so nothing but the result is pickled."""
-    ctx = multiprocessing.get_context("fork")
-    recv, send = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_lane, args=(fn, arg, send))
-    child.start()
-    send.close()
-    return child, recv
+    """Fork a child that computes fn(arg): (its pid, the read end of the
+    pipe it writes the pickled (True, fn(arg)) or (False, the exception
+    raised) to).  The child inherits fn, so nothing but the result is
+    pickled, and leaves by os._exit: it runs none of the caller's atexit
+    handlers and flushes none of its buffered output a second time."""
+    recv, send = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(send)
+        return pid, recv
+    status = 1
+    try:
+        try:
+            result = (True, fn(arg))
+        except Exception as exc:
+            result = (False, exc)
+        with open(send, "wb") as pipe:
+            pipe.write(pickle.dumps(result))
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _run(seed: int, reps: int, per_rep: int, n: int, threads: int,
@@ -226,13 +227,17 @@ def _run(seed: int, reps: int, per_rep: int, n: int, threads: int,
     chunk and n.  The chunks run in min(threads, usable CPUs, chunks)
     lanes, lane k taking chunks k, k + lanes, ...: the caller runs lane
     0, and each other lane is a child forked for this call, which
-    inherits statistic and sends back only its lane's sum or the
-    exception it raised.  Every child is joined before the call returns
-    or raises.  The statistic must be integer-valued (counts), so the
-    sum does not depend on the lane count.  Linux only: forking and
+    inherits statistic and sends back through its own pipe only its
+    lane's sum or the exception it raised.  A child that sends nothing
+    is an error naming how it ended; a failed call sends every child
+    SIGTERM, and every child is reaped before the call returns or
+    raises.  The statistic must be integer-valued (counts), so the sum
+    does not depend on the lane count.  Linux only: forking and
     os.sched_getaffinity both need it.  Fork, not spawn: a spawned child
     could not receive the closure statistic and would import numpy and
-    modtail again on every call.  A fork copies the calling thread only,
+    modtail again on every call.  os.fork and os.pipe, not
+    multiprocessing, whose import and Process and Pipe objects cost
+    every import and call time.  A fork copies the calling thread only,
     which is safe while no other thread of the caller holds a lock the
     lanes take; modtail starts no thread.  Threads in one process would
     not do: the GIL, handed back and forth around each block's short
@@ -258,26 +263,29 @@ def _run(seed: int, reps: int, per_rep: int, n: int, threads: int,
         for k in range(1, lanes):
             children.append(_start_lane(lane, k))
         total = lane(0)
-        for child, recv in children:
-            try:
-                ok, value = recv.recv()
-            except EOFError:
-                child.join()
-                raise RuntimeError(f"a sampling lane exited with code "
-                                   f"{child.exitcode} and no result") from None
+        for pid, recv in children:
+            with open(recv, "rb", closefd=False) as pipe:
+                sent = pipe.read()
+            if not sent:
+                # left a zombie for the finally to reap, so no pid is reused
+                end = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+                how = "code" if end.si_code == os.CLD_EXITED else "signal"
+                raise RuntimeError(f"a sampling lane ended with {how} "
+                                   f"{end.si_status} and no result")
+            ok, value = pickle.loads(sent)
             if not ok:
                 raise value
             total = total + value
         return total
     except BaseException:
         # the call fails: what the other lanes would send is not needed
-        for child, _ in children:
-            child.terminate()
+        for pid, _ in children:
+            os.kill(pid, signal.SIGTERM)
         raise
     finally:
-        for child, recv in children:
-            child.join()
-            recv.close()
+        for pid, recv in children:
+            os.waitpid(pid, 0)
+            os.close(recv)
 
 
 def _draws(params: MdtParams, words: np.ndarray) -> np.ndarray:
@@ -500,4 +508,6 @@ def coverage_miss_rate(params: MdtParams, n: int, radius: float, trials: int,
         a_n = _draws(params, words).reshape(m, n).mean(axis=1)
         return int(np.count_nonzero(np.abs(a_n) > radius))
 
-    return _run(seed, trials, n, n, 1, statistic) / trials
+    # every usable CPU: the lane count never changes the count
+    return _run(seed, trials, n, n, len(os.sched_getaffinity(0)),
+                statistic) / trials

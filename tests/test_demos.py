@@ -1,6 +1,6 @@
 """Each demo script runs to completion against the package under test,
-a bare import of the package loads no scipy, and its namespace keeps
-functions and submodules apart."""
+a bare import of the package loads no scipy or multiprocessing, and its
+namespace keeps functions and submodules apart."""
 
 import os
 import subprocess
@@ -26,8 +26,10 @@ def test_demo_runs(demo, tmp_path):
 
 
 def test_import_loads_no_scipy():
+    # nor multiprocessing: sampling lanes are forked with os.fork
     code = ("import sys, modtail; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'multiprocessing')))")
     proc = subprocess.run([sys.executable, "-c", code], env=ENV,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

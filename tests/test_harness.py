@@ -1,6 +1,10 @@
 import hashlib
 import math
-import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,26 @@ def small_plan(seed=11, **kw):
     kw.setdefault("reps", 20000)
     kw.setdefault("u_grid", np.geomspace(PARAMS.u_star, 30.0, 24))
     return make_plan(PARAMS, seed=seed, **kw)
+
+
+def assert_no_child():
+    # no child of this process is left, running or a zombie
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The lanes _run forks a child for, in the order it starts them."""
+    lanes = []
+    start = harness._start_lane
+
+    def recording(fn, k):
+        lanes.append(k)
+        return start(fn, k)
+
+    monkeypatch.setattr(harness, "_start_lane", recording)
+    return lanes
 
 
 def test_dkw_values():
@@ -160,17 +184,9 @@ def test_chunk_layout_ignores_threads():
     assert layouts[0].tolist() == [[1, 262100, 2621], [1, 237900, 2379]]
 
 
-def test_worker_pool_capped_by_chunks(monkeypatch):
+def test_worker_pool_capped_by_chunks(started, monkeypatch):
     # lanes = min(threads, usable CPUs, chunks); the caller runs lane 0,
     # so a child is started for each of lanes 1, 2, ...
-    started = []
-    start = harness._start_lane
-
-    def recording(fn, k):
-        started.append(k)
-        return start(fn, k)
-
-    monkeypatch.setattr(harness, "_start_lane", recording)
     for cpus, threads, reps, lanes in ((2, 8, 5000, 2), (2, 8, 100, 1),
                                        (1, 8, 5000, 1), (2, 1, 5000, 1)):
         monkeypatch.setattr(harness.os, "sched_getaffinity",
@@ -418,9 +434,9 @@ def test_quantile_failure_names_its_chunk(runner, monkeypatch):
     assert (diag["seed"], diag["n"], diag["chunk"]) == (5, 3, 0)
 
 
-@pytest.mark.parametrize("runner", ["simulate", "simulate_field"])
+@pytest.mark.parametrize("runner", ["simulate", "simulate_field", "coverage"])
 @pytest.mark.parametrize("chunk", [0, 1])
-def test_lane_failure_reaches_the_caller(runner, chunk, monkeypatch):
+def test_lane_failure_reaches_the_caller(runner, chunk, started, monkeypatch):
     # the quantile fails on one stream block only, in a plan of two
     # chunks on two lanes: chunk 1 fails in the child, chunk 0 in the
     # caller while the child still samples
@@ -436,14 +452,76 @@ def test_lane_failure_reaches_the_caller(runner, chunk, monkeypatch):
     with pytest.raises(NumericError) as info:
         if runner == "simulate":
             simulate(small_plan(seed=5, n_grid=(3,), reps=100000, threads=2))
-        else:
+        elif runner == "simulate_field":
             simulate_field(FieldModel(PARAMS, (1.0, 0.5), resolution=4),
                            small_plan(seed=5, n_grid=(3,), reps=30000, threads=2))
+        else:
+            coverage_miss_rate(PARAMS, n=3, radius=1.0, trials=100000, seed=5)
     diag = info.value.diagnostics
     assert diag["law"] == PARAMS.describe()
     assert 0 < diag["q"] <= 1
     assert (diag["seed"], diag["n"], diag["chunk"]) == (5, 3, chunk)
-    assert multiprocessing.active_children() == []
+    assert started == [1]
+    assert_no_child()
+
+
+def test_coverage_runs_on_every_usable_cpu(started, monkeypatch):
+    # 10^5 trials of n = 3 make two chunks: one lane per usable CPU,
+    # and the same miss rate on either count
+    rates = []
+    for cpus in (2, 1):
+        monkeypatch.setattr(harness.os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        rates.append(coverage_miss_rate(PARAMS, n=3, radius=1.0,
+                                        trials=100000, seed=8))
+        assert started == list(range(1, cpus))
+        started.clear()
+    assert rates[0] == rates[1]
+    assert 0 < rates[0] < 1
+    assert_no_child()
+
+
+@pytest.mark.parametrize("end,message", [
+    (lambda: os._exit(7), "code 7"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL),
+     f"signal {signal.SIGKILL:d}")], ids=["exit", "killed"])
+def test_lane_that_dies_is_an_error(end, message, monkeypatch):
+    # a child lane that ends before it sends a result, on block 1's words
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})
+    first, caller = stream_words(3, 1, 1)[0], os.getpid()
+
+    def statistic(words, m):
+        if words[0] == first and os.getpid() != caller:
+            end()
+        return m
+
+    with pytest.raises(RuntimeError, match=f"ended with {message} and no"):
+        harness._run(3, 5000, 100, 100, 2, statistic)
+    assert_no_child()
+
+
+def test_lanes_leave_the_callers_output_alone():
+    # a child lane leaves by os._exit, so the caller's unflushed output
+    # is written once, by the caller
+    code = ("import os, sys\n"
+            "import numpy as np\n"
+            "from modtail import make_mdt\n"
+            "from modtail.harness import make_plan, simulate\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "sys.stdout.write('written once')\n"
+            "simulate(make_plan(make_mdt(4.0, 0.0), seed=1, reps=100000,\n"
+            "                   n_grid=(1, 2, 4), u_grid=np.array([3.0]),\n"
+            "                   threads=2))\n")
+    src = str(Path(harness.__file__).resolve().parents[1])
+    # stdout must stay buffered until exit for a second flush to show
+    env = {key: value for key, value in os.environ.items()
+           if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "written once"
 
 
 def test_lane_count_invariance():
@@ -457,6 +535,6 @@ def test_lane_count_invariance():
         base = run(1)
         for threads in (2, 8):
             report = run(threads)
-            assert multiprocessing.active_children() == []
+            assert_no_child()
             assert report.counts.tobytes() == base.counts.tobytes()
             assert report.qhat.tobytes() == base.qhat.tobytes()
