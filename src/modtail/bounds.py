@@ -24,7 +24,7 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from .distribution import MdtParams, survival
-from .errors import DomainError
+from .errors import DomainError, in_domain
 from .fenchel import GeneratingFunction, fenchel
 from .moments import (DELTA_P, default_p_grid, moment_from_tail, theta,
                       theta_regime)
@@ -95,7 +95,7 @@ def closed_shape(params: MdtParams, u):
     u_arr = np.asarray(u, dtype=float)
     regime = theta_regime(params.gamma)
     u_min = closed_u_min(params)
-    if np.any(u_arr < u_min * (1 - 1e-12)):
+    if not np.all(in_domain(u_arr, u_min)):
         raise DomainError(f"closed-form bound requires u >= {u_min:g} in regime {regime}")
     if regime == "C" and not limit_at_infinity_is_zero(params.v):
         raise DomainError("regime gamma < -1 requires V vanishing at infinity")
@@ -129,7 +129,7 @@ def q_bound_fenchel(params: MdtParams, u, c1: Optional[float] = None):
     c1 = _constant(params, c1)
     psi = GeneratingFunction.from_theta(params)
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-    if np.any(u_arr < _E * (1 - 1e-12)):
+    if not np.all(in_domain(u_arr, _E)):
         raise DomainError("q_bound_fenchel requires u >= e")
     p_star = fenchel(psi, np.log(u_arr)).argmax
     y_shift = np.log(u_arr / c1 ** (1.0 / p_star))
@@ -143,7 +143,7 @@ def lower_witness(params: MdtParams, u):
     """The n = 1 term of the sup: survival of the completed law itself,
     a rigorous lower bound on Q(u)."""
     u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr < params.u_star * (1 - 1e-12)):
+    if not np.all(in_domain(u_arr, params.u_star)):
         raise DomainError("lower_witness requires u >= u_star")
     return survival(params, u)
 
@@ -205,14 +205,12 @@ def witness_curve(params: MdtParams) -> TailCurve:
 
 def calibrate_closed_constant(params: MdtParams, u_grid: np.ndarray,
                               qhat: np.ndarray, slack: float) -> float:
-    """Smallest constant making the closed bound dominate qhat + slack on
-    a reference simulation.  Cells where qhat + slack >= 1 are covered by
-    the [0, 1] clamp and do not constrain the constant."""
+    """Smallest c for which the clamped bound min(c shape, 1) dominates
+    min(qhat + slack, 1) on the reference cells in the closed-form domain,
+    the cells certify checks; DomainError when there are none."""
     u_grid = np.asarray(u_grid, dtype=float)
-    qhat = np.asarray(qhat, dtype=float)
-    shape = closed_shape(params, u_grid)
-    need = qhat + slack
-    active = need < 1.0
-    if not np.any(active):
-        return 1.0
-    return float(np.max(need[active] / shape[active]))
+    inside = in_domain(u_grid, closed_u_min(params))
+    if not inside.any():
+        raise DomainError("calibration needs a cell in the closed-form domain")
+    need = np.minimum(np.asarray(qhat, dtype=float)[inside] + slack, 1.0)
+    return float(np.max(need / closed_shape(params, u_grid[inside])))

@@ -21,7 +21,7 @@ from .config import RunConfig
 from .entropy import (check_entropy_condition, entropy_integral,
                       field_entropy_model, finite_net_union_bound,
                       net_bound_level)
-from .errors import ConfigError, DomainError, NumericError
+from .errors import ConfigError, DomainError, NumericError, in_domain
 from .fenchel import FenchelCurve, GeneratingFunction
 from .harness import (certify, confidence_radius, default_u_grid, make_plan,
                       simulate, write_json)
@@ -68,7 +68,7 @@ def cmd_bound(cfg: RunConfig, out: Path) -> int:
     params = cfg.params()
     u_grid = _u_grid(cfg, params)
     for curve in _curves(cfg, params):
-        grid = u_grid[u_grid >= curve.u_min * (1 - 1e-12)]
+        grid = u_grid[in_domain(u_grid, curve.u_min)]
         curve.to_csv(out / f"bound_{curve.provenance}.csv", grid,
                      header_extra=_header(cfg))
     return EXIT_OK

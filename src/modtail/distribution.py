@@ -16,9 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, NumericError
-from .slowvary import (ONE, SlowlyVarying, format_num, format_sv, sv_log,
-                       ufunc_into)
+from .errors import DomainError, NumericError, in_domain
+from .slowvary import ONE, SlowlyVarying, format_num, format_sv, sv_log
 
 _E = math.e
 
@@ -66,31 +65,34 @@ class MdtParams:
                 f"V={format_sv(self.v)} u_star={self.u_star:.12g}")
 
     @cached_property
+    def log_tail_star(self) -> float:
+        """ln tail(u_star), the law's normalizer: S = tail / tail(u_star)."""
+        return _log_tail_y(self, math.log(self.u_star))
+
+    @cached_property
     def _inverse_table(self) -> "_InverseTable":
         return _InverseTable(self)
 
 
 def _log_tail_y(params: MdtParams, y, slope: bool = False, work=None):
     """ln of the tail formula at y = ln u >= 1, or with slope the pair
-    (ln tail, d/dy ln tail).  Unvalidated (callers check y).  work, when
-    given, is laid out as sv_log's: the results are written to it, and
-    nothing block-sized is allocated."""
+    (ln tail, d/dy ln tail).  Unvalidated (callers check y).  Each step is
+    a ufunc written to work, laid out as sv_log's, when given, so nothing
+    block-sized is allocated; else to a new result."""
     if work is None:
         work = (None,) * 4
-    at = ufunc_into
     s = work[2] if slope else work[1]
     lv = sv_log(params.v, y, deriv=slope, work=work)
-    out = at(np.subtract, lv[0] if slope else lv,
-             at(np.multiply, y, params.beta, out=s), out=work[0])
+    out = np.subtract(lv[0] if slope else lv,
+                      np.multiply(y, params.beta, out=s), out=work[0])
     if params.gamma:
-        out = at(np.add, out,
-                 at(np.multiply, at(np.log, y, out=s), params.gamma, out=s),
-                 out=work[0])
+        out = np.add(out, np.multiply(np.log(y, out=s), params.gamma, out=s),
+                     out=work[0])
     if not slope:
         return out
-    d = at(np.subtract, lv[1], params.beta, out=work[1])
+    d = np.subtract(lv[1], params.beta, out=work[1])
     if params.gamma:
-        d = at(np.add, d, at(np.divide, params.gamma, y, out=s), out=work[1])
+        d = np.add(d, np.divide(params.gamma, y, out=s), out=work[1])
     return out, d
 
 
@@ -151,10 +153,10 @@ def _bisect(ok, lo: float, hi: float, rel: float) -> float:
 
 
 def _validate_activation(params: MdtParams) -> None:
-    y_star = math.log(params.u_star)
-    if _log_tail_y(params, y_star) > 1e-9:
+    if params.log_tail_star > 1e-9:
         raise DomainError(
             f"tail formula exceeds 1 at u_star={params.u_star:g}; pick a larger u_star")
+    y_star = math.log(params.u_star)
     ys = np.geomspace(y_star, max(400.0, 4 * y_star), 2048)
     if np.any(_log_tail_y(params, ys, slope=True)[1] > 1e-9):
         raise DomainError(
@@ -172,8 +174,7 @@ class _InverseTable:
     """
 
     def __init__(self, params: MdtParams):
-        y_star = math.log(params.u_star)
-        l_star = _log_tail_y(params, y_star)
+        y_star, l_star = math.log(params.u_star), params.log_tail_star
         y_max = y_star + _TABLE_G_MAX / params.beta
         while l_star - _log_tail_y(params, y_max) < _TABLE_G_MAX:
             y_max = y_star + 2.0 * (y_max - y_star)
@@ -252,7 +253,7 @@ def tail_formula(params: MdtParams, u):
     u_arr = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(u_arr)):
         raise DomainError("tail_formula requires finite u")
-    if np.any(u_arr < _E * (1 - 1e-12)):
+    if not np.all(in_domain(u_arr, _E)):
         raise DomainError("tail_formula requires u >= e")
     out = np.exp(_log_tail_y(params, np.log(np.maximum(u_arr, _E))))
     return float(out) if out.ndim == 0 else out
@@ -264,7 +265,7 @@ def survival(params: MdtParams, u):
     if not np.all(np.isfinite(u_arr)) or np.any(u_arr < 0):
         raise DomainError("survival requires finite u >= 0")
     y = np.log(np.maximum(u_arr, params.u_star))
-    out = _log_tail_y(params, y) - _log_tail_y(params, math.log(params.u_star))
+    out = _log_tail_y(params, y) - params.log_tail_star
     out = np.exp(np.minimum(out, 0.0))
     return float(out) if out.ndim == 0 else out
 
@@ -280,8 +281,9 @@ def quantile(params: MdtParams, q):
     all draws at once.  Either way each stage is written into one
     workspace per block, and a block is accepted whole when its largest
     log-space residual passes the strictest per-draw test.  Otherwise the
-    draws that fail their own test resume the safeguarded loop: Newton
-    with bisection inside a bracket (for a tabled law, of table nodes).
+    draws that fail their own test go, from their start, to one
+    safeguarded loop: Newton with bisection inside a bracket (of table
+    nodes for a tabled law, whose first step is the dense step again).
     Each draw's last residual is its post-check: NumericError, with the
     law and the worst q, unless every |survival(u) - q| <= 1e-10.
     """
@@ -323,7 +325,8 @@ def _quantile_block(params: MdtParams, q: np.ndarray, out: np.ndarray):
 
     Every stage goes through one workspace with y in out, two rows for a
     pure power law and seven for a tabled law, so the block allocates no
-    other block-sized array unless its largest residual fails the test.
+    other block-sized array unless its largest residual fails the test;
+    then its failing draws, and only they, go to one _newton call.
     """
     q_max = q.max()
     if not (q.min() > 0 and q_max <= 1):
@@ -333,17 +336,18 @@ def _quantile_block(params: MdtParams, q: np.ndarray, out: np.ndarray):
     work = np.empty((2 if pure else 7, q.size))
     target = np.log(q, out=work[0])
     if pure:
-        y = np.divide(target, -params.beta, out=out)
+        # the exact inverse is both the start and the answer
+        y0 = y = np.divide(target, -params.beta, out=out)
         y += y_star
-        target += _log_tail_y(params, y_star)
-        f = _log_tail_y(params, y, work=(work[1],) * 2)
+        target += params.log_tail_star
+        f0 = f = _log_tail_y(params, y, work=(work[1],) * 2)
         f -= target
     else:
         table = params._inverse_table
         # g = -target in the row f0 takes next
         k, y0 = table.start(np.negative(target, out=work[3]),
                             work[1].view(np.intp), work[2], work[5:7])
-        target += _log_tail_y(params, y_star)
+        target += params.log_tail_star
         f0, slope = _log_tail_y(params, y0, slope=True, work=work[3:7])
         f0 -= target
         # f decreases on [y_star, inf), so any y there that passes the
@@ -360,24 +364,17 @@ def _quantile_block(params: MdtParams, q: np.ndarray, out: np.ndarray):
     # fails
     if f_max <= 1e-13 + 3e-15:
         err = math.expm1(f_max)
-    elif pure:
-        f = _newton(params, target, y, y_star,
-                    y_star + _TABLE_G_MAX / params.beta, _f_tol(q))
     else:
         f_tol = _f_tol(q)
         bad = np.flatnonzero(~(np.abs(f) <= f_tol))
-        if bad.size:
-            # the safeguarded loop's first step from y0 is this step
-            # whenever it lands inside the bracket that f0 narrows:
-            # resume the loop there, or else from y0
-            y0, f0 = y0[bad], f0[bad]
-            lo = np.where(f0 > 0, y0, table.lo[k[bad]])
-            hi = np.where(f0 < 0, y0, table.hi[k[bad]])
-            inside = (y[bad] > lo) & (y[bad] < hi)
-            y_bad = np.where(inside, y[bad], y0)
-            f[bad] = _newton(params, target[bad], y_bad, lo, hi, f_tol[bad],
-                             np.where(inside, f[bad], f0))
-            y[bad] = y_bad
+        lo, hi = ((y_star, y_star + _TABLE_G_MAX / params.beta) if pure
+                  else (table.lo[k[bad]], table.hi[k[bad]]))
+        # from the start y0 and its f0: for a tabled law the loop's first
+        # step is the dense step again, so its iterates are the block's
+        y_bad = y0[bad]
+        f[bad] = _newton(params, target[bad], y_bad, lo, hi, f_tol[bad],
+                         f0[bad])
+        y[bad] = y_bad
         if np.all(np.abs(f[bad]) <= f_tol[bad]):
             err = _PASSED_ERR
     # |S - q| = q |expm1(f)|: at most expm1(max |f|) for an accepted

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy and domain rule shared by all modules."""
 
 
 class ModtailError(Exception):
@@ -19,3 +19,9 @@ class NumericError(ModtailError, RuntimeError):
 
 class ConfigError(ModtailError, ValueError):
     """A run configuration failed validation."""
+
+
+def in_domain(u, u_min):
+    """u >= u_min up to a relative 1e-12, elementwise: every domain's rule,
+    so a rounded left end (e**e, exp(ln u_star)) lies inside."""
+    return u >= u_min * (1 - 1e-12)

@@ -21,7 +21,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .distribution import MdtParams
-from .errors import DomainError
+from .errors import DomainError, in_domain
 from .moments import DELTA_P, MomentCurve, natural_psi
 
 _E = math.e
@@ -184,7 +184,7 @@ def tail_from_gls(psi: GeneratingFunction, norm_value: float, z: float) -> float
     if not (np.isfinite(norm_value) and norm_value > 0):
         raise DomainError(f"GLS norm must be positive, got {norm_value}")
     ratio = z / norm_value
-    if ratio < _E * (1 - 1e-12):
+    if not in_domain(ratio, _E):
         raise DomainError("tail_from_gls requires z >= e * norm")
     val = fenchel(psi, math.log(ratio)).value
     return float(np.clip(math.exp(-val), 0.0, 1.0))

@@ -57,7 +57,7 @@ from .distribution import (_BLOCK, STREAM_BLOCK, MdtParams, _bisect, quantile,
                            rotate_by_words, sign_by_words, stream_words,
                            word_uniforms)
 from .entropy import FieldModel
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, in_domain
 from ._version import __version__ as _version
 
 DEFAULT_N_GRID = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
@@ -417,7 +417,7 @@ def certify(report: EmpiricalTailReport,
     dkw = report.dkw
     verdicts = []
     for curve in curves:
-        mask = u >= curve.u_min * (1 - 1e-12)
+        mask = in_domain(u, curve.u_min)
         vals = curve.evaluate(u[mask])
         if curve.is_upper_bound():
             bad = (qhat[mask] - dkw) > vals

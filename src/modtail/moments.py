@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .distribution import MdtParams, _log_tail_y
+from .distribution import MdtParams
 from .errors import DomainError, NumericError
 from .slowvary import sv_eval, sv_log
 
@@ -94,7 +94,7 @@ def moment_from_tail(params: MdtParams, p, return_error: bool = False):
         f = np.exp((params.gamma + 1) * ln_y - gap * (y - y_star) + sv_log(params.v, y))
         sums.append(0.5 * (span * f @ w).sum(axis=-1))
     coarse, fine = sums
-    scale = p * np.exp(-(params.beta - p) * y_star - _log_tail_y(params, y_star))
+    scale = p * np.exp(-(params.beta - p) * y_star - params.log_tail_star)
     moment = params.u_star ** p + scale * fine
     rel_err = scale * np.abs(fine - coarse) / moment
     if not np.all(rel_err <= 100 * QUAD_RELTOL):   # a NaN misses too
@@ -165,7 +165,7 @@ def verify_equivalence(params: MdtParams, p_grid: Optional[Sequence[float]] = No
     spread = float(ratios.max() / ratios.min())
     # theta omits the moment's factor p / tail(y_star), so r -> beta Gamma(gamma+1) / tail(y_star)
     predicted = (params.beta * math.gamma(params.gamma + 1.0)
-                 * math.exp(-_log_tail_y(params, math.log(params.u_star)))
+                 * math.exp(-params.log_tail_star)
                  if theta_regime(params.gamma) == "A" else None)
     return EquivalenceReport(
         params=params, p_grid=p_grid, moments=moments, thetas=thetas,

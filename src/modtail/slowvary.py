@@ -13,7 +13,6 @@ factors compare and hash equal however they were written.
 from __future__ import annotations
 
 import math
-import operator
 import re
 from dataclasses import dataclass
 
@@ -67,21 +66,6 @@ def sv_eval(v: SlowlyVarying, y):
     return float(out) if out.ndim == 0 else out
 
 
-# each gives what its ufunc gives, bit for bit, and on scalars in a
-# fraction of a ufunc call's time
-_OPERATOR = {np.add: operator.add, np.subtract: operator.sub,
-             np.multiply: operator.mul, np.divide: operator.truediv}
-
-
-def ufunc_into(ufunc, *args, out=None):
-    """ufunc(*args) written to out when out is given; else a new result,
-    through the Python operator where there is one."""
-    if out is not None:
-        return ufunc(*args, out=out)
-    op = _OPERATOR.get(ufunc)
-    return op(*args) if op else ufunc(*args)
-
-
 def sv_log(v: SlowlyVarying, y, deriv: bool = False, work=None):
     """ln V(y) for y >= 0, or with deriv the pair (ln V, d/dy ln V).
 
@@ -89,7 +73,7 @@ def sv_log(v: SlowlyVarying, y, deriv: bool = False, work=None):
     given, holds arrays shaped like y and apart from it: ln V goes to
     work[0], and with deriv the derivative to work[1] and work[2:4] are
     scratch; without it work[1] is scratch.  Otherwise each step makes a
-    new result.  A constant V gives scalars either way.
+    new result.  A constant V gives Python floats either way.
     """
     ln_c, a, b = v.ln_c, v.a, v.b
     if not (a or b):
@@ -97,25 +81,24 @@ def sv_log(v: SlowlyVarying, y, deriv: bool = False, work=None):
     if work is None:
         work = (None,) * 4
     val, der, s1, s2 = work[:4] if deriv else (work[0], None, work[1], None)
-    at = ufunc_into
-    l1 = at(np.log1p, y, out=der if deriv else val)
-    l2 = at(np.log1p, l1, out=val)
+    l1 = np.log1p(y, out=der if deriv else val)
+    l2 = np.log1p(l1, out=val)
     if b:
-        lb = at(np.multiply, at(np.log1p, l2, out=s1), b, out=s1)
+        lb = np.multiply(np.log1p(l2, out=s1), b, out=s1)
     if deriv:
         # d/dy ln(1+L1) = 1/((1+L1)(1+y)), and d/dy ln(1+L2) is that over 1+L2
-        num = at(np.add, at(np.divide, b, at(np.add, l2, 1.0, out=s2), out=s2),
-                 a, out=s2) if b else a
-    out = at(np.multiply, l2, a, out=val)
+        num = np.add(np.divide(b, np.add(l2, 1.0, out=s2), out=s2), a,
+                     out=s2) if b else a
+    out = np.multiply(l2, a, out=val)
     if b:
-        out = at(np.add, out, lb, out=val)
+        out = np.add(out, lb, out=val)
     if ln_c:
-        out = at(np.add, out, ln_c, out=val)
+        out = np.add(out, ln_c, out=val)
     if not deriv:
         return out
-    den = at(np.multiply, at(np.add, l1, 1.0, out=der),
-             at(np.add, y, 1.0, out=s1), out=der)
-    return out, at(np.divide, num, den, out=der)
+    den = np.multiply(np.add(l1, 1.0, out=der), np.add(y, 1.0, out=s1),
+                      out=der)
+    return out, np.divide(num, den, out=der)
 
 
 def limit_at_infinity_is_zero(v: SlowlyVarying) -> bool:

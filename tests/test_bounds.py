@@ -192,6 +192,15 @@ def test_calibration_minimality():
     assert np.any(under < truth)
 
 
+def test_calibration_needs_a_cell_in_domain():
+    # regime B's closed form starts at e**e: a grid below it calibrates
+    # nothing
+    params = make_mdt(3.0, -1.0)
+    u = np.geomspace(params.u_star, 10.0, 8)
+    with pytest.raises(DomainError):
+        calibrate_closed_constant(params, u, survival(params, u), slack=0.0)
+
+
 def test_ratio_upper_to_witness_grows_like_log():
     # regime A closed form carries one extra ln u factor over the witness
     params = make_mdt(4.0, 0.0)

@@ -66,6 +66,18 @@ def test_bound_labels_user_constant_given(tmp_path):
     assert constants == {"c": 5.0, "mode": "given"}
 
 
+def test_calibrated_certify_in_regime_b(tmp_path):
+    # the regime B closed form starts at e**e, above this law's first
+    # cells: calibration reads only the cells certify checks
+    path = tmp_path / "b.yaml"
+    path.write_text(FAST_PLAN + 'law: {beta: 3.0, gamma: -1.0, V: "c(1)"}\n'
+                    "bounds:\n  mode: calibrated\n")
+    out = tmp_path / "out"
+    assert run(["certify", "--config", str(path), "--out", str(out)]) in (0, 1)
+    payload = json.loads((out / "certification.json").read_text())
+    assert payload["constants"]["c1"] > 0
+
+
 def test_simulate_command(tmp_path, cfg):
     out = tmp_path / "out"
     assert run(["simulate", "--config", cfg, "--out", str(out)]) == 0

@@ -291,12 +291,17 @@ def test_quantile_error_names_the_worst_residual(monkeypatch):
     (4.0, 0.5, "ilp(2)",
      "17de49be73ca42c1fc08f67f748ffd5a9176e83594ad51d75bddfb798fd9053d"),
     (2.5, 1.5, "c(0.5)*lp(1)*ilp(-1)",
-     "f0e3bd036cf743b575e084dbdf30a9804fdf3e69f71474d8b377409bc2184739")])
+     "f0e3bd036cf743b575e084dbdf30a9804fdf3e69f71474d8b377409bc2184739"),
+    # laws whose blocks fail the block test and take the Newton fallback
+    (3.0, 6.0, "c(1)",
+     "8e230541a3110be21f78fe9e9b80c3f9142b377a7b66789456bf33cef17ad7be"),
+    (2.05, 3.0, "lp(2)*ilp(-1)",
+     "f5af1c3a6e21e2905cc8de34f2f143144e741c34d7a0df50ac7faee71662eaf2")])
 def test_golden_quantile(beta, gamma, v, digest):
     # the general-law kernel on four blocks of the stream, pinned by
     # digest: V's a, b and ln c and gamma in regimes A, B and C, so a
-    # change to the table start, the Newton step or the block test must
-    # keep every draw bit for bit
+    # change to the table start, the Newton step, the block test or the
+    # fallback must keep every draw bit for bit
     q = word_uniforms(stream_words(18, 0, 1 << 16))
     u = quantile(make_mdt(beta, gamma, parse_sv(v)), q)
     assert hashlib.sha256(u.tobytes()).hexdigest() == digest

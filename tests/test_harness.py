@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modtail import distribution, harness
-from modtail.bounds import closed_curve, witness_curve
+from modtail.bounds import (calibrate_closed_constant, closed_curve,
+                            witness_curve)
 from modtail.distribution import make_mdt, sample, stream_words, survival
 from modtail.entropy import FieldModel, net_bound_level
 from modtail.errors import DomainError, NumericError
@@ -289,6 +290,18 @@ def test_certify_fails_a_curve_checked_on_no_cell():
     assert (closed.checked_cells, closed.passed) == (0, False)
     assert witness.checked_cells == 8 and witness.passed
     assert not result.passed
+
+
+def test_calibration_on_saturated_cells_certifies():
+    # qhat + slack >= 1 on every reference cell: the constant must lift
+    # the clamped bound to 1 there, or a fresh run at qhat = 1 fails it
+    u = PARAMS.u_star * np.array([1.0, 1.01])
+    ref = simulate(make_plan(PARAMS, seed=5, n_grid=(1,), reps=1000, u_grid=u))
+    slack = 2.0 * ref.dkw
+    assert np.all(ref.qhat + slack >= 1.0)
+    c = calibrate_closed_constant(PARAMS, ref.u_grid, ref.qhat, slack)
+    fresh = simulate(make_plan(PARAMS, seed=6, n_grid=(1,), reps=1000, u_grid=u))
+    assert certify(fresh, [closed_curve(PARAMS, c=c)]).passed
 
 
 def test_u_grid_needs_a_point_on_a_finite_range():

@@ -1,0 +1,39 @@
+import ast
+from pathlib import Path
+
+import pytest
+
+import modtail
+
+MODULES = sorted(p for p in Path(modtail.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def unused_imports(source: str):
+    """(line, name) of each name a module imports and never reads, as a
+    name or as the root of an attribute."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_unused_import_check_sees_one():
+    # __future__ is exempt; an annotation and an attribute root are uses
+    src = ("from __future__ import annotations\nimport os\n"
+           "import numpy as np\n"
+           "from .distribution import MdtParams, _log_tail_y\n"
+           "def f(p: MdtParams):\n    return np.pi\n")
+    assert unused_imports(src) == [(2, "os"), (4, "_log_tail_y")]
