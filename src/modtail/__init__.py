@@ -8,8 +8,7 @@ from .errors import ConfigError, DomainError, ModtailError, NumericError
 from .slowvary import (Constant, IterLogPower, LogPower, Product,
                        SlowlyVarying, format_sv, limit_at_infinity_is_zero,
                        parse_sv, sv_eval)
-from .distribution import (MdtParams, make_mdt, quantile, sample, survival,
-                           tail_formula)
+from .distribution import MdtParams, make_mdt, quantile, survival, tail_formula
 from .moments import (MomentCurve, default_p_grid, moment_from_tail,
                       natural_psi, theta, theta_regime, verify_equivalence)
 from .fenchel import (FenchelCurve, GeneratingFunction, gls_norm_from_moments,
@@ -23,8 +22,8 @@ from .entropy import (FieldModel, MetricEntropyModel, check_entropy_condition,
                       finite_net_union_bound, natural_distance_bound)
 from .harness import (CertificationResult, EmpiricalTailReport, SimulationPlan,
                       certify, confidence_radius, coverage_miss_rate,
-                      default_u_grid, dkw_halfwidth, make_plan, simulate,
-                      simulate_field, tail_slope)
+                      default_u_grid, dkw_halfwidth, make_plan, sample,
+                      simulate, simulate_field, tail_slope)
 
 # submodules stay reachable as attributes of the package but are not exported
 __all__ = [name for name, obj in globals().items()

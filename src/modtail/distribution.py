@@ -1,10 +1,11 @@
-"""Samplable laws with a moderate decreasing tail.
+"""The law: a moderate decreasing tail, completed into a samplable law.
 
 The tail model is ``u**(-beta) * (ln u)**gamma * V(ln u)`` for u >= e.
 That formula is only a tail; to simulate we complete it into a genuine
 law: survival 1 on [0, u_star], then exactly proportional to the tail
 formula beyond, symmetrized by an independent random sign so the law is
-centered.
+centered.  This module is the law alone: parameters, tail, survival and
+its inverse, quantile.  The random stream and the samplers are harness's.
 """
 
 from __future__ import annotations
@@ -21,9 +22,6 @@ from .slowvary import ONE, SlowlyVarying, format_num, format_sv, sv_log
 
 _E = math.e
 
-# the random stream is read in blocks of this many 64-bit words
-STREAM_BLOCK = 1 << 18
-
 # largest |survival(quantile(q)) - q| that quantile returns
 _RESIDUAL_TOL = 1e-10
 _NEWTON_STEPS = 100
@@ -34,9 +32,6 @@ _BLOCK = 16384
 # past -ln of the smallest positive double (744.44)
 _TABLE_NODES = 4096
 _TABLE_G_MAX = 750.0
-# cos and sin of 2 pi i / 4096: the turn that a word's top 12 bits give
-_TURN = 2.0 * math.pi / 4096 * np.arange(4096)
-_TURN_COS, _TURN_SIN = np.cos(_TURN), np.sin(_TURN)
 
 
 @dataclass(frozen=True)
@@ -280,12 +275,13 @@ def quantile(params: MdtParams, q):
     once per law and cached on the params, and takes one Newton step for
     all draws at once.  Either way each stage is written into one
     workspace per block, and a block is accepted whole when its largest
-    log-space residual passes the strictest per-draw test.  Otherwise the
-    draws that fail their own test go, from their start, to one
-    safeguarded loop: Newton with bisection inside a bracket (of table
-    nodes for a tabled law, whose first step is the dense step again).
-    Each draw's last residual is its post-check: NumericError, with the
-    law and the worst q, unless every |survival(u) - q| <= 1e-10.
+    log-space residual passes the strictest per-draw test; its error is
+    then bounded by that residual.  Otherwise the draws that fail their
+    own test go, from their start, to one safeguarded loop: Newton with
+    bisection inside a bracket (of table nodes for a tabled law, whose
+    first step is the dense step again), and the block's error is each
+    draw's own |survival(u) - q|.  NumericError, with the law and the
+    worst q, unless every error is <= 1e-10.
     """
     q_arr = np.asarray(q, dtype=float)
     flat = q_arr.reshape(-1)
@@ -306,11 +302,6 @@ def _f_tol(q: np.ndarray) -> np.ndarray:
     """Per-draw bound on the log-space residual f: |S - q| = q |expm1(f)|,
     so 1e-13 in probability; the clamp keeps it finite at subnormal q."""
     return 1e-13 / np.maximum(q, 1e-13 / 0.3) + 3e-15
-
-
-# a bound on q |expm1(f)| over q in (0, 1] and |f| <= _f_tol(q): the
-# largest value, 1.166e-13, is at q = 1e-13 / 0.3, where the clamp starts
-_PASSED_ERR = 1.2e-13
 
 
 def _pure_power(params: MdtParams) -> bool:
@@ -375,119 +366,16 @@ def _quantile_block(params: MdtParams, q: np.ndarray, out: np.ndarray):
         f[bad] = _newton(params, target[bad], y_bad, lo, hi, f_tol[bad],
                          f0[bad])
         y[bad] = y_bad
-        if np.all(np.abs(f[bad]) <= f_tol[bad]):
-            err = _PASSED_ERR
     # |S - q| = q |expm1(f)|: at most expm1(max |f|) for an accepted
-    # block, or _PASSED_ERR when every draw passed its own test; each
-    # draw's residual only where the bound misses, so an error names the
-    # worst q
+    # block; each draw's residual, in the target's row, for a block that
+    # fell back, or where that bound misses, so an error names the worst q
     q_at = float(q_max)
     if not err <= _RESIDUAL_TOL:
-        errs = q * np.abs(np.expm1(f))
+        errs = np.abs(np.expm1(f, out=work[0]), out=work[0])
+        errs *= q
         worst = int(np.argmax(errs))
         err, q_at = float(errs[worst]), float(q[worst])
     np.exp(y, out=out)
     if q_max == 1.0:
         out[q == 1.0] = params.u_star
     return err, q_at
-
-
-def stream_words(seed: int, block: int, count: int) -> np.ndarray:
-    """The first count raw uint64 words of block `block` of the seed's
-    random stream: PCG64DXSM keyed by SeedSequence([seed, block]).  Each
-    block is its own generator, so any block can be read without the
-    ones before it, and blocks of one seed, like those of two seeds, are
-    independent streams."""
-    return np.random.PCG64DXSM(np.random.SeedSequence([seed, block])).random_raw(count)
-
-
-def word_uniforms(words: np.ndarray, out=None) -> np.ndarray:
-    """q = ((r >> 11) + 1) * 2**-53 for each word r: the top 53 bits as a
-    uniform on (0, 1], exactly the values 1 - Generator.random() takes.
-    Written to out (float64, shaped like words) when given."""
-    if out is None:
-        out = np.empty(words.shape)
-    bits = np.right_shift(words, np.uint64(11), out=out.view(np.uint64))
-    bits += np.uint64(1)
-    # at most 2**53, so exact as int64, which converts faster than uint64
-    return np.multiply(bits.view(np.int64), 2.0 ** -53, out=out)
-
-
-def sign_by_words(x: np.ndarray, words: np.ndarray, out=None) -> np.ndarray:
-    """x (nonnegative, contiguous) negated where the word's low bit is
-    set, in place or written to out, which may be the words themselves: a
-    bit word_uniforms does not read, so sign and magnitude are
-    independent."""
-    out = x if out is None else out
-    np.bitwise_or(x.view(np.uint64), words << np.uint64(63),
-                  out=out.view(np.uint64))
-    return out
-
-
-def rotate_by_words(x: np.ndarray, words: np.ndarray):
-    """x cos(2 pi q) and x sin(2 pi q), q = word_uniforms(words), for x
-    (float64) and the words contiguous and of one shape: the first
-    written over the words, the second over x, both returned.
-
-    No libm call: q = i 2**-12 + j 2**-53 exactly, with i = r >> 52 and
-    j = ((r >> 11) & (2**41 - 1)) + 1.  The cos and sin of the turn
-    2 pi i / 4096 come from a table, those of delta = 2 pi j 2**-53 <=
-    1.54e-3 from 1 - delta**2/2 + delta**4/24 and delta (1 - delta**2/6 +
-    delta**4/120), whose truncation error is below 1e-19, and angle
-    addition joins them.  The words are worked through in blocks of
-    _BLOCK in one workspace, so the loop makes no temporaries.
-    """
-    flat, xf = words.reshape(-1), x.reshape(-1)
-    out = flat.view(np.float64)
-    work = np.empty((4, min(_BLOCK, flat.size)))
-    for s in range(0, flat.size, _BLOCK):
-        r, xb, c = flat[s:s + _BLOCK], xf[s:s + _BLOCK], out[s:s + _BLOCK]
-        a, t, b, cd = (w[:r.size] for w in work)
-        bits = np.right_shift(r, np.uint64(11), out=a.view(np.uint64))
-        bits &= np.uint64((1 << 41) - 1)
-        bits += np.uint64(1)
-        d = np.multiply(bits.view(np.int64), 2.0 * math.pi * 2.0 ** -53, out=a)
-        i = np.right_shift(r, np.uint64(52), out=t.view(np.uint64)).view(np.intp)
-        # the word is read, so its slot c takes sin delta
-        d2 = np.multiply(d, d, out=b)
-        np.multiply(d2, 1.0 / 24.0, out=cd)
-        cd -= 0.5
-        cd *= d2
-        cd += 1.0
-        np.multiply(d2, 1.0 / 120.0, out=c)
-        c -= 1.0 / 6.0
-        c *= d2
-        c *= d
-        c += d
-        # x cos(turn) to a, x sin(turn) to b, then angle addition
-        np.take(_TURN_COS, i, out=a, mode="clip")
-        np.take(_TURN_SIN, i, out=b, mode="clip")
-        a *= xb
-        b *= xb
-        np.multiply(b, cd, out=xb)
-        np.multiply(a, c, out=t)
-        xb += t
-        c *= b
-        np.multiply(a, cd, out=t)
-        np.subtract(t, c, out=c)
-    return out.reshape(words.shape), x
-
-
-def sample(params: MdtParams, seed: int, n: int, offset: int = 0) -> np.ndarray:
-    """n i.i.d. draws of sign * quantile(q), q uniform on (0, 1].
-
-    Draw i takes its sign and magnitude from word offset + i of the
-    seed's stream, read in fixed blocks of STREAM_BLOCK words, so the
-    draws for indices [offset, offset+n) are identical whether produced
-    in one call or split across calls.
-    """
-    if n < 1:
-        raise DomainError("sample requires n >= 1")
-    if offset < 0:
-        raise DomainError("sample requires offset >= 0")
-    blocks = range(offset // STREAM_BLOCK, (offset + n - 1) // STREAM_BLOCK + 1)
-    words = np.concatenate([stream_words(seed, b, STREAM_BLOCK) for b in blocks])
-    # a copy: the draws are written over it, and must not pin the blocks
-    words = words[offset % STREAM_BLOCK:][:n].copy()
-    from .harness import _draws  # the harness imports this module
-    return _draws(params, words)

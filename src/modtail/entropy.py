@@ -122,6 +122,12 @@ class FieldModel:
         j = np.arange(1, len(self.weights) + 1)
         return float(np.sum(2.0 * math.pi * j * np.abs(self.weights)))
 
+    def check_law(self, params: MdtParams) -> None:
+        """DomainError unless params is the field's own law."""
+        if params != self.params:
+            raise DomainError(f"the field's law is {self.params.describe()}, "
+                              f"not {params.describe()}")
+
     def z_grid(self) -> np.ndarray:
         # left endpoints, so doubling the resolution nests the old grid
         # inside the new one and the grid supremum can only grow
@@ -184,8 +190,9 @@ def finite_net_union_bound(model: FieldModel, params: MdtParams, u: float) -> fl
     to sums whose summands are not draws of the law: the point term to a
     component's normalized sum of xi cos(2 pi j z + U), and the Lipschitz
     term to the modulus of its normalized sum of xi exp(i U), which sets
-    the component's Lipschitz constant.
+    the component's Lipschitz constant.  params must be model.params.
     """
+    model.check_law(params)
     if u <= 0:
         raise DomainError("u must be positive")
     m, j_count = model.resolution, model.n_components
@@ -205,7 +212,8 @@ def finite_net_union_bound(model: FieldModel, params: MdtParams, u: float) -> fl
 
 def net_bound_level(model: FieldModel, params: MdtParams, delta: float) -> float:
     """Smallest u with finite_net_union_bound(model, params, u) <= delta,
-    to relative precision 1e-9; NumericError if u = 1e300 is not enough.
+    to relative precision 1e-9; NumericError if u = 1e300 is not enough,
+    and DomainError, from the first bound, if params is not model.params.
 
     The bound is nonincreasing in u: u doubles from u_star until the
     bound drops to delta, and geometric bisection narrows the bracket.

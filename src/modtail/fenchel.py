@@ -120,7 +120,7 @@ def fenchel(psi: GeneratingFunction, y) -> FenchelPoint:
 
     One grid scan of every y, followed by golden-section refinement (1e-10
     in p) of the bracket around every grid local maximum of every y (both
-    ends and the grid argmax included), all brackets together;
+    ends included, and so the grid argmax), all brackets together;
     interpolated generating functions can make the objective multimodal,
     so refining only the best cell is not enough.  A refined point
     replaces the grid best only when its value is larger.  A scalar y
@@ -138,7 +138,6 @@ def fenchel(psi: GeneratingFunction, y) -> FenchelPoint:
     cand = np.zeros(vals.shape, dtype=bool)
     cand[:, 1:-1] = (vals[:, 1:-1] >= vals[:, :-2]) & (vals[:, 1:-1] >= vals[:, 2:])
     cand[:, [0, -1]] = True
-    cand[rows, best] = True
     r, i = np.nonzero(cand)
     p_opt = _refine_brackets(psi, ys[r], ps[np.maximum(i - 1, 0)],
                              ps[np.minimum(i + 1, ps.size - 1)])

@@ -1,43 +1,38 @@
-"""Monte Carlo simulation and certification of the tail bounds.
+"""The random stream, every sampler that reads it, and certification.
 
-Estimates Qhat(u) = max over an n-grid of empirical tails of the
-normalized sums, wraps it in a uniform DKW confidence band, and checks
-every bound curve against it.  The sup over all n is truncated to the
-plan's n-grid; per-n curves are kept in the report so saturation can be
-judged.  One chunked loop serves every statistic: chunk ci reads block
-ci of the seed's block-keyed stream, one 64-bit word per draw, so
-results do not depend on how many lanes run the chunks.  The caller is
-lane 0; the others are children forked by os.fork, not multiprocessing,
-for one call and reaped before it returns, min(threads, usable CPUs,
-chunks) lanes in all, so no lane waits on another's GIL (see _run; Linux
-only).  One pipeline turns a chunk's words into signed draws, in blocks
-of distribution._BLOCK words small enough to stay in cache: the block's
-uniforms go to a workspace buffer allocated once per chunk, quantile
-gives their magnitudes (for every law, the whole block accepted on its
-largest log-space residual; every law's stages go through one workspace
-per block), and the sign from the same words is set as the draws are
-written over those words.  So the chunk's words are its only chunk-sized
-array: a second one, allocated and freed per chunk, made the allocator
-hand memory back and fault it in again every chunk.  Each replication
-draws one block of n_max draws and every S_n on the n-grid is a prefix
-sum of it; the tails share draws, so the DKW level is split over the
-n-grid.  A chunk of m replications lays its draws out with n outermost:
-the k-th draw of replication r is word k m + r.  So each prefix sum is a
-run of vector adds over contiguous rows of m; laid out by replication,
-the field's short rows cost an inner loop per segment and row.
+The stream: block b of seed s is the raw 64-bit words of PCG64DXSM keyed
+by SeedSequence([s, b]), read STREAM_BLOCK words at a time, so no block
+needs the ones before it.  A draw takes one word r: its uniform q =
+((r >> 11) + 1) 2**-53 on (0, 1] (word_uniforms) goes through quantile
+to the magnitude, and its low bit, which q does not read, is the sign
+(sign_by_words).  A field draw takes a second word for its phase, read
+as q = i 2**-12 + j 2**-53 exactly, with i = r >> 52 and j = ((r >> 11)
+& (2**41 - 1)) + 1: the cos and sin of the turn 2 pi i / 4096 come from
+a table, those of delta = 2 pi j 2**-53 <= 1.54e-3 from series whose
+truncation error is below 1e-19, and angle addition joins them
+(rotate_by_words), with no libm call.
 
-The field supremum calls no libm trig, and works in blocks in one
-workspace too.  Its chunk of m replications of J components reads
-2 n_max m J words: first the amplitude words, then the phase words,
-each laid out (n, replication, component), so the k-th draw of
-component c of replication r and its phase are words (k m + r) J + c
-and n_max m J plus that.  A phase word r gives q = i 2**-12 + j 2**-53
-exactly, with i = r >> 52 and j = ((r >> 11) & (2**41 - 1)) + 1: the
-cos and sin of 2 pi i / 4096 come from a table, those of 2 pi j 2**-53
-<= 1.54e-3 from series whose truncation error is below 1e-19, and angle
-addition joins them (distribution.rotate_by_words).  The max over the z-grid
-runs over half of it: the grid k / M is symmetric under z -> 1 - z, so
-it is the max of |P| + |Q| over k <= M / 2 (see simulate_field).
+One pipeline, _draws, turns words into signed draws in blocks of
+distribution._BLOCK words, small enough to stay in cache, and writes
+them over the words, so no second array as large is made.  sample reads
+draw i from word offset + i.  simulate, simulate_field and
+coverage_miss_rate run one chunked loop, _run: chunk ci reads block ci,
+so results do not depend on how many lanes run the chunks; lane 0 is
+the caller, the others children forked for one call (Linux only).
+
+simulate estimates Qhat(u) = max over an n-grid of empirical tails of
+the normalized sums, and certify checks every bound curve against it
+with a uniform DKW band.  The sup over all n is truncated to the n-grid;
+per-n tails are kept so saturation can be judged.  Each replication
+draws one block of n_max draws and every S_n is a prefix sum of it; the
+tails share draws, so the DKW level is split over the n-grid.  A chunk
+of m replications lays its draws out with n outermost, draw k of
+replication r at word k m + r, so each prefix sum is a run of vector
+adds over contiguous rows.  simulate_field's chunk of m replications of
+J components reads 2 n_max m J words, amplitudes then phases, each laid
+out (n, replication, component): draw k of component c of replication r
+is word (k m + r) J + c, and its phase n_max m J words on.  Its max over
+the z-grid runs over half of it, k <= M / 2 (see simulate_field).
 """
 
 from __future__ import annotations
@@ -53,15 +48,18 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .bounds import TailCurve, _constant, closed_u_min, q_bound_closed
-from .distribution import (_BLOCK, STREAM_BLOCK, MdtParams, _bisect, quantile,
-                           rotate_by_words, sign_by_words, stream_words,
-                           word_uniforms)
+from .distribution import _BLOCK, MdtParams, _bisect, quantile
 from .entropy import FieldModel
 from .errors import DomainError, NumericError, in_domain
 from ._version import __version__ as _version
 
 DEFAULT_N_GRID = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 DEFAULT_BUDGET = 10 ** 9
+# the random stream is read in blocks of this many 64-bit words
+STREAM_BLOCK = 1 << 18
+# cos and sin of 2 pi i / 4096: the turn that a word's top 12 bits give
+_TURN = 2.0 * math.pi / 4096 * np.arange(4096)
+_TURN_COS, _TURN_SIN = np.cos(_TURN), np.sin(_TURN)
 
 
 def dkw_halfwidth(reps: int, delta: float) -> float:
@@ -90,6 +88,8 @@ class SimulationPlan:
             raise DomainError("reps must be >= 1000")
         if self.u_grid.size == 0:
             raise DomainError("u_grid must not be empty")
+        if self.threads < 1:
+            raise DomainError("threads must be >= 1")
 
     def echo(self) -> Dict:
         return {"params": self.params.describe(), "n_grid": list(self.n_grid),
@@ -120,11 +120,11 @@ def write_json(path, payload: Dict) -> None:
 
 def make_plan(params: MdtParams, seed: int,
               n_grid: Sequence[int] = DEFAULT_N_GRID, reps: int = 10 ** 5,
-              u_points: int = 64, u_grid: Optional[np.ndarray] = None,
+              u_grid: Optional[np.ndarray] = None,
               dkw_delta: float = 1e-3, budget: int = DEFAULT_BUDGET,
               threads: int = 1) -> SimulationPlan:
     if u_grid is None:
-        u_grid = default_u_grid(params, points=u_points)
+        u_grid = default_u_grid(params)
     return SimulationPlan(params=params, n_grid=tuple(int(n) for n in n_grid),
                           reps=int(reps), u_grid=np.asarray(u_grid, dtype=float),
                           seed=int(seed), dkw_delta=dkw_delta, budget=int(budget),
@@ -174,6 +174,84 @@ class EmpiricalTailReport:
                   f"delta_n={self.plan.dkw_delta / len(self.plan.n_grid):g}\n"
                   f"{header_extra}" + ",".join(cols))
         np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=header, comments="")
+
+
+def stream_words(seed: int, block: int, count: int) -> np.ndarray:
+    """The first count raw uint64 words of block `block` of the seed's
+    random stream: PCG64DXSM keyed by SeedSequence([seed, block]).  Each
+    block is its own generator, so any block can be read without the
+    ones before it, and blocks of one seed, like those of two seeds, are
+    independent streams."""
+    return np.random.PCG64DXSM(np.random.SeedSequence([seed, block])).random_raw(count)
+
+
+def word_uniforms(words: np.ndarray, out=None) -> np.ndarray:
+    """q = ((r >> 11) + 1) * 2**-53 for each word r: the top 53 bits as a
+    uniform on (0, 1], exactly the values 1 - Generator.random() takes.
+    Written to out (float64, shaped like words) when given."""
+    if out is None:
+        out = np.empty(words.shape)
+    bits = np.right_shift(words, np.uint64(11), out=out.view(np.uint64))
+    bits += np.uint64(1)
+    # at most 2**53, so exact as int64, which converts faster than uint64
+    return np.multiply(bits.view(np.int64), 2.0 ** -53, out=out)
+
+
+def sign_by_words(x: np.ndarray, words: np.ndarray, out=None) -> np.ndarray:
+    """x (nonnegative, contiguous) negated where the word's low bit is
+    set, in place or written to out, which may be the words themselves: a
+    bit word_uniforms does not read, so sign and magnitude are
+    independent."""
+    out = x if out is None else out
+    np.bitwise_or(x.view(np.uint64), words << np.uint64(63),
+                  out=out.view(np.uint64))
+    return out
+
+
+def rotate_by_words(x: np.ndarray, words: np.ndarray):
+    """x cos(2 pi q) and x sin(2 pi q), q = word_uniforms(words), for x
+    (float64) and the words contiguous and of one shape: the first
+    written over the words, the second over x, both returned.
+
+    The phase-word decode of the module docstring, with cos delta =
+    1 - delta**2/2 + delta**4/24 and sin delta = delta (1 - delta**2/6 +
+    delta**4/120).  The words are worked through in blocks of _BLOCK in
+    one workspace, so the loop makes no temporaries.
+    """
+    flat, xf = words.reshape(-1), x.reshape(-1)
+    out = flat.view(np.float64)
+    work = np.empty((4, min(_BLOCK, flat.size)))
+    for s in range(0, flat.size, _BLOCK):
+        r, xb, c = flat[s:s + _BLOCK], xf[s:s + _BLOCK], out[s:s + _BLOCK]
+        a, t, b, cd = (w[:r.size] for w in work)
+        bits = np.right_shift(r, np.uint64(11), out=a.view(np.uint64))
+        bits &= np.uint64((1 << 41) - 1)
+        bits += np.uint64(1)
+        d = np.multiply(bits.view(np.int64), 2.0 * math.pi * 2.0 ** -53, out=a)
+        i = np.right_shift(r, np.uint64(52), out=t.view(np.uint64)).view(np.intp)
+        # the word is read, so its slot c takes sin delta
+        d2 = np.multiply(d, d, out=b)
+        np.multiply(d2, 1.0 / 24.0, out=cd)
+        cd -= 0.5
+        cd *= d2
+        cd += 1.0
+        np.multiply(d2, 1.0 / 120.0, out=c)
+        c -= 1.0 / 6.0
+        c *= d2
+        c *= d
+        c += d
+        # x cos(turn) to a, x sin(turn) to b, then angle addition
+        np.take(_TURN_COS, i, out=a, mode="clip")
+        np.take(_TURN_SIN, i, out=b, mode="clip")
+        a *= xb
+        b *= xb
+        np.multiply(b, cd, out=xb)
+        np.multiply(a, c, out=t)
+        xb += t
+        c *= b
+        np.multiply(a, cd, out=t)
+        np.subtract(t, c, out=c)
+    return out.reshape(words.shape), x
 
 
 def _check_budget(plan: SimulationPlan, per_rep_draws: int) -> None:
@@ -302,6 +380,25 @@ def _draws(params: MdtParams, words: np.ndarray) -> np.ndarray:
     return flat.view(np.float64).reshape(words.shape)
 
 
+def sample(params: MdtParams, seed: int, n: int, offset: int = 0) -> np.ndarray:
+    """n i.i.d. draws of sign * quantile(q), q uniform on (0, 1].
+
+    Draw i takes its sign and magnitude from word offset + i of the
+    seed's stream, read in fixed blocks of STREAM_BLOCK words, so the
+    draws for indices [offset, offset+n) are identical whether produced
+    in one call or split across calls.
+    """
+    if n < 1:
+        raise DomainError("sample requires n >= 1")
+    if offset < 0:
+        raise DomainError("sample requires offset >= 0")
+    blocks = range(offset // STREAM_BLOCK, (offset + n - 1) // STREAM_BLOCK + 1)
+    words = np.concatenate([stream_words(seed, b, STREAM_BLOCK) for b in blocks])
+    # a copy: the draws are written over it, and must not pin the blocks
+    words = words[offset % STREAM_BLOCK:][:n].copy()
+    return _draws(params, words)
+
+
 def _prefix_sums(x: np.ndarray, n_grid: Sequence[int]) -> np.ndarray:
     """Unnormalized partial sums over axis 1 of x (k, n_max, ...) at each
     n of the grid: the segment sums between consecutive grid points,
@@ -345,7 +442,8 @@ def simulate(plan: SimulationPlan) -> EmpiricalTailReport:
 def simulate_field(model: FieldModel, plan: SimulationPlan) -> EmpiricalTailReport:
     """Same pipeline with the per-replication statistic max over the
     z-grid of |Y_n(z)|; each draw of a component takes a second word for
-    its phase."""
+    its phase.  The plan's law must be the field's, model.params."""
+    model.check_law(plan.params)
     n_max, j_count = plan.n_grid[-1], model.n_components
     _check_budget(plan, n_max * j_count)
     # Y_n(z) = P - Q and Y_n(1 - z) = P + Q, with P = sum_j w_j A_j
@@ -409,8 +507,9 @@ def certify(report: EmpiricalTailReport,
     """Check Qhat against each curve with the report's DKW envelope.
 
     Upper bounds must satisfy Qhat - dkw <= curve(u); the lower witness
-    must satisfy Qhat + dkw >= curve(u).  Cells below a curve's domain
-    are skipped; a curve left with no cell fails, as it checked nothing.
+    must satisfy Qhat + dkw >= curve(u); a NaN value satisfies neither.
+    Cells below a curve's domain are skipped; a curve left with no cell
+    fails, as it checked nothing.
     """
     u = report.u_grid
     qhat = report.qhat
@@ -420,9 +519,9 @@ def certify(report: EmpiricalTailReport,
         mask = in_domain(u, curve.u_min)
         vals = curve.evaluate(u[mask])
         if curve.is_upper_bound():
-            bad = (qhat[mask] - dkw) > vals
+            bad = ~(qhat[mask] - dkw <= vals)
         else:
-            bad = (qhat[mask] + dkw) < vals
+            bad = ~(qhat[mask] + dkw >= vals)
         verdicts.append(CurveVerdict(
             provenance=curve.provenance, passed=bool(mask.any() and not bad.any()),
             checked_cells=int(mask.sum()),
@@ -503,6 +602,9 @@ def coverage_miss_rate(params: MdtParams, n: int, radius: float, trials: int,
                        seed: int) -> float:
     """Fraction of fresh sample means whose deviation from 0 exceeds the
     radius; the law is exactly centered, so the target is 0."""
+    if not (n >= 1 and trials >= 1 and 0 <= radius < math.inf):
+        raise DomainError(f"coverage needs n, trials >= 1 and a finite radius "
+                          f">= 0, got n={n}, trials={trials}, radius={radius}")
 
     def statistic(words, m):
         a_n = _draws(params, words).reshape(m, n).mean(axis=1)

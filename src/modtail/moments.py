@@ -153,12 +153,10 @@ class EquivalenceReport:
     limit_constant_predicted: Optional[float]  # the limit of r, regime A only
 
 
-def verify_equivalence(params: MdtParams, p_grid: Optional[Sequence[float]] = None,
-                       band: float = 50.0) -> EquivalenceReport:
-    """Check that moment and theta stay within a bounded ratio near beta."""
-    if p_grid is None:
-        p_grid = default_p_grid(params, n=25, p_lo=params.beta - 0.5)
-    p_grid = np.asarray(p_grid, dtype=float)
+def verify_equivalence(params: MdtParams, band: float = 50.0) -> EquivalenceReport:
+    """Check that moment and theta stay within a bounded ratio on the 25
+    points of default_p_grid in [beta - 0.5, beta - DELTA_P]."""
+    p_grid = default_p_grid(params, n=25, p_lo=params.beta - 0.5)
     moments = moment_from_tail(params, p_grid)
     thetas = theta(params, p_grid)
     ratios = moments / thetas
@@ -170,5 +168,5 @@ def verify_equivalence(params: MdtParams, p_grid: Optional[Sequence[float]] = No
     return EquivalenceReport(
         params=params, p_grid=p_grid, moments=moments, thetas=thetas,
         ratios=ratios, band=band, passed=spread <= band,
-        limit_constant_observed=float(ratios[np.argmax(p_grid)]),
+        limit_constant_observed=float(ratios[-1]),
         limit_constant_predicted=predicted)

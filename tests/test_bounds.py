@@ -10,11 +10,11 @@ from modtail.bounds import (c1_pessimistic,
                             q_bound_closed, q_bound_fenchel,
                             rosenthal_constant, rosenthal_sum_moment,
                             witness_curve)
-from modtail.distribution import make_mdt, sample, survival
+from modtail.distribution import make_mdt, survival
 from modtail.errors import DomainError
 from modtail.fenchel import GeneratingFunction, tail_from_gls
 from modtail.moments import default_p_grid, moment_from_tail
-from modtail.harness import confidence_radius, default_u_grid
+from modtail.harness import confidence_radius, default_u_grid, sample
 from modtail.slowvary import ONE, LogPower, parse_sv
 
 E = math.e
@@ -134,6 +134,8 @@ def test_q_bound_fenchel_clamped_monotone():
     q = q_bound_fenchel(params, u)
     assert np.all((0 <= q) & (q <= 1))
     assert np.all(np.diff(q) <= 1e-15)
+    with pytest.raises(DomainError):
+        q_bound_fenchel(params, np.array([E, 2.0]))
 
 
 @pytest.mark.parametrize("law", [(4.0, 0.0, "c(1)"), (3.0, -1.0, "c(1)"),

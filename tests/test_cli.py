@@ -119,6 +119,13 @@ def test_confidence_command(tmp_path, cfg):
     assert payload["attained"] is True
     assert payload["radius"] > 0
     assert "certificate" in payload
+    # the bound never reaches delta = 1e-300 in the search range
+    path = tmp_path / "far.yaml"
+    path.write_text("confidence:\n  n: 1\n  delta: 1.0e-300\n")
+    assert run(["confidence", "--config", str(path), "--out", str(out)]) == 0
+    payload = json.loads((out / "confidence.json").read_text())
+    assert payload["attained"] is False and payload["radius"] is None
+    assert payload["certificate"].startswith("bound never drops below delta in (")
 
 
 def test_entropy_command(tmp_path, cfg):
@@ -206,10 +213,14 @@ def test_missing_config_file(tmp_path):
                 "--out", str(tmp_path / "o")]) == 2
 
 
-def test_bad_law_parameters(tmp_path):
+def test_bad_law_parameters(tmp_path, capsys):
     path = tmp_path / "bad.yaml"
     path.write_text("law:\n  beta: 1.5\n")
     assert run(["bound", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    # an activation point where the tail formula exceeds 1
+    path.write_text('law: {beta: 3.0, gamma: 6.0, V: "c(100)", u_star: 2.72}\n')
+    assert run(["bound", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "exceeds 1 at u_star=2.72" in capsys.readouterr().err
 
 
 def test_outputs_byte_identical_across_threads(tmp_path, cfg):

@@ -8,12 +8,12 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.stats import chi2
 
 from modtail import distribution
-from modtail.distribution import (STREAM_BLOCK, MdtParams, make_mdt,
-                                  quantile, rotate_by_words, sample,
-                                  sign_by_words, stream_words, survival,
-                                  tail_formula, word_uniforms)
+from modtail.distribution import (MdtParams, make_mdt, quantile, survival,
+                                  tail_formula)
 from modtail.errors import DomainError, NumericError
-from modtail.harness import dkw_halfwidth
+from modtail.harness import (STREAM_BLOCK, dkw_halfwidth, rotate_by_words,
+                             sample, sign_by_words, stream_words,
+                             word_uniforms)
 from modtail.slowvary import (Constant, IterLogPower, LogPower, Product,
                               parse_sv)
 
@@ -457,5 +457,8 @@ def test_proportionality_beyond_activation():
 
 def test_custom_u_star_must_be_monotone():
     # gamma=6 peak is past e, so activating at e breaks monotonicity
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="not nonincreasing"):
         make_mdt(3.0, 6.0, Constant(1.0), u_star=E)
+    # and with V = 100 the formula exceeds 1 there: ln tail(e) = -3 + ln 100
+    with pytest.raises(DomainError, match="exceeds 1 at u_star"):
+        make_mdt(3.0, 6.0, Constant(100.0), u_star=E)

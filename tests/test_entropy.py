@@ -8,7 +8,7 @@ from modtail.distribution import make_mdt
 from modtail.entropy import (FieldModel, MetricEntropyModel,
                              check_entropy_condition, entropy_integral,
                              field_entropy_model, finite_net_union_bound,
-                             natural_distance_bound)
+                             natural_distance_bound, net_bound_level)
 from modtail.errors import DomainError
 from modtail.harness import make_plan, simulate_field
 from modtail.slowvary import parse_sv
@@ -196,6 +196,21 @@ def test_union_bound_regime_b_below_closed_domain():
     assert np.all((vals >= 0.0) & (vals <= 1.0))
     assert np.all(np.diff(vals) <= 1e-15)
     assert vals[-1] < 1.0
+
+
+def test_union_bound_needs_the_fields_law():
+    # another law's bound says nothing of this field's supremum
+    model = FieldModel(params=make_mdt(3.0, -2.0, parse_sv("lp(-1)")),
+                       weights=(1.0, 0.5, 0.25), resolution=64)
+    other = make_mdt(4.0, 0.0)
+    with pytest.raises(DomainError):
+        finite_net_union_bound(model, other, 1e4)
+    with pytest.raises(DomainError):
+        net_bound_level(model, other, 1e-3)
+    # laws compare by value: an equal law built apart is the same law
+    same = make_mdt(3.0, -2.0, parse_sv("lp(-1)"))
+    assert (finite_net_union_bound(model, same, 1e4)
+            == finite_net_union_bound(model, model.params, 1e4))
 
 
 def test_union_bound_certified_against_simulation():

@@ -11,14 +11,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modtail import distribution, harness
-from modtail.bounds import (calibrate_closed_constant, closed_curve,
-                            witness_curve)
-from modtail.distribution import make_mdt, sample, stream_words, survival
+from modtail.bounds import (TailCurve, calibrate_closed_constant, closed_curve,
+                            q_bound_closed, witness_curve)
+from modtail.distribution import make_mdt, survival
 from modtail.entropy import FieldModel, net_bound_level
 from modtail.errors import DomainError, NumericError
 from modtail.harness import (EmpiricalTailReport, certify, confidence_radius,
                              coverage_miss_rate, default_u_grid, dkw_halfwidth,
-                             make_plan, simulate, simulate_field, tail_slope)
+                             make_plan, sample, simulate, simulate_field,
+                             stream_words, tail_slope)
 from modtail.slowvary import parse_sv
 
 PARAMS = make_mdt(4.0, 0.0)
@@ -209,7 +210,8 @@ def test_golden_draws(beta, gamma, v, digest):
     # workers share them
     params = make_mdt(beta, gamma, parse_sv(v))
     for threads in (1, 2):
-        report = simulate(make_plan(params, seed=5, reps=1000, u_points=16,
+        report = simulate(make_plan(params, seed=5, reps=1000,
+                                    u_grid=default_u_grid(params, 16),
                                     threads=threads))
         assert report.counts.dtype == np.int64
         assert hashlib.sha256(report.counts.tobytes()).hexdigest() == digest
@@ -292,6 +294,20 @@ def test_certify_fails_a_curve_checked_on_no_cell():
     assert not result.passed
 
 
+def test_certify_fails_a_nan_curve():
+    # a NaN value bounds nothing: every checked cell is a violation, for
+    # an upper bound and for a lower witness alike
+    report = simulate(small_plan(reps=1000))
+    curves = [TailCurve(fn=lambda u: np.full(u.shape, np.nan), provenance=kind,
+                        u_min=PARAMS.u_star, kind=kind)
+              for kind in ("upper", "lower")]
+    result = certify(report, curves)
+    assert not result.passed
+    for verdict in result.verdicts:
+        assert not verdict.passed
+        assert len(verdict.violations) == verdict.checked_cells == 24
+
+
 def test_calibration_on_saturated_cells_certifies():
     # qhat + slack >= 1 on every reference cell: the constant must lift
     # the clamped bound to 1 there, or a fresh run at qhat = 1 fails it
@@ -355,6 +371,10 @@ def test_confidence_radius_boundary():
     assert res.attained
     # delta = 1 is met immediately at the domain edge
     assert res.radius == pytest.approx(res.search_range[0])
+    # delta = 1e-300 lies below the bound across all eight decades
+    res = confidence_radius(PARAMS, n=1, delta=1e-300)
+    assert not res.attained and math.isnan(res.radius)
+    assert q_bound_closed(PARAMS, res.search_range[1], c=res.constant) > 1e-300
 
 
 def test_confidence_radius_scales_with_n():
@@ -366,7 +386,6 @@ def test_confidence_radius_scales_with_n():
 
 
 def test_confidence_radius_certifies_bound_level():
-    from modtail.bounds import q_bound_closed
     res = confidence_radius(PARAMS, n=10000, delta=1e-3)
     assert res.attained
     assert q_bound_closed(PARAMS, math.sqrt(10000) * res.radius,
@@ -551,3 +570,30 @@ def test_lane_count_invariance():
             assert_no_child()
             assert report.counts.tobytes() == base.counts.tobytes()
             assert report.qhat.tobytes() == base.qhat.tobytes()
+
+
+@pytest.mark.parametrize("bad", [{"radius": math.nan}, {"radius": math.inf},
+                                 {"radius": -1.0}, {"trials": 0}, {"n": 0}],
+                         ids=["nan-radius", "inf-radius", "negative-radius",
+                              "no-trial", "empty-mean"])
+def test_coverage_rejects_what_it_cannot_measure(bad):
+    # a NaN radius, as an unattained confidence_radius gives, must not
+    # read as perfect coverage
+    args = {"n": 3, "radius": 1.0, "trials": 100, "seed": 5, **bad}
+    with pytest.raises(DomainError):
+        coverage_miss_rate(PARAMS, **args)
+
+
+def test_plan_needs_a_lane():
+    with pytest.raises(DomainError):
+        small_plan(threads=0)
+
+
+def test_field_samples_its_own_law():
+    other = make_mdt(3.0, -2.0, parse_sv("lp(-1)"))
+    with pytest.raises(DomainError):
+        simulate_field(FieldModel(other, (1.0,), resolution=4),
+                       small_plan(reps=1000))
+    # laws compare by value: an equal law built apart is the same law
+    simulate_field(FieldModel(make_mdt(4.0, 0.0), (1.0,), resolution=4),
+                   small_plan(reps=1000))

@@ -25,6 +25,16 @@ def unused_imports(source: str):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def function_imports(source: str):
+    """Lines of the imports made inside a function, nested or a method:
+    a call-time import hides an import cycle."""
+    tree = ast.parse(source)
+    return sorted({node.lineno for func in ast.walk(tree)
+                   if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(func)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))})
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -37,3 +47,19 @@ def test_unused_import_check_sees_one():
            "from .distribution import MdtParams, _log_tail_y\n"
            "def f(p: MdtParams):\n    return np.pi\n")
     assert unused_imports(src) == [(2, "os"), (4, "_log_tail_y")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_imports_in_functions(path):
+    assert function_imports(path.read_text()) == []
+
+
+def test_function_import_check_sees_them():
+    # module-level imports pass; one in a function, a nested function or
+    # a method does not
+    src = ("import os\n"
+           "def f():\n    import json\n"
+           "    def g():\n        from .harness import _draws\n"
+           "    return g\n"
+           "class C:\n    def m(self):\n        import re\n")
+    assert function_imports(src) == [3, 5, 9]

@@ -8,8 +8,9 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
 from modtail import moments
-from modtail.distribution import _log_tail_y, make_mdt, sample
+from modtail.distribution import _log_tail_y, make_mdt
 from modtail.errors import DomainError, NumericError
+from modtail.harness import sample
 from modtail.moments import (DELTA_P, MomentCurve, default_p_grid,
                              moment_from_tail, natural_psi, theta,
                              theta_regime, verify_equivalence, THETA_MIN)
