@@ -15,7 +15,6 @@ matching lower bound decays like u**(-beta).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -168,14 +167,6 @@ class TailCurve:
 
     def evaluate(self, u_grid: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(u_grid, dtype=float)), dtype=float)
-
-    def to_csv(self, path, u_grid: np.ndarray, header_extra: str = "") -> None:
-        vals = self.evaluate(u_grid)
-        header = (f"# modtail tail curve provenance={self.provenance}\n"
-                  f"# constants={json.dumps(self.constants, sort_keys=True)}\n"
-                  f"{header_extra}u,bound")
-        np.savetxt(path, np.column_stack([u_grid, vals]), fmt="%.17g",
-                   delimiter=",", header=header, comments="")
 
 
 def closed_curve(params: MdtParams, c: Optional[float] = None,

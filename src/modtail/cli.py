@@ -2,12 +2,14 @@
 
 Commands: bound | simulate | certify | confidence | entropy | moments |
 fenchel.  Exit codes: 0 ok, 1 certification failure, 2 config error,
-3 numeric error.
+3 numeric error.  Each command builds its result files from the
+library's data through harness.write_csv and write_json.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 from pathlib import Path
@@ -24,7 +26,7 @@ from .entropy import (check_entropy_condition, entropy_integral,
 from .errors import ConfigError, DomainError, NumericError, in_domain
 from .fenchel import FenchelCurve, GeneratingFunction
 from .harness import (certify, confidence_radius, default_u_grid, make_plan,
-                      simulate, write_json)
+                      simulate, write_csv, write_json)
 from .moments import MomentCurve, default_p_grid
 
 EXIT_OK = 0
@@ -69,8 +71,10 @@ def cmd_bound(cfg: RunConfig, out: Path) -> int:
     u_grid = _u_grid(cfg, params)
     for curve in _curves(cfg, params):
         grid = u_grid[in_domain(u_grid, curve.u_min)]
-        curve.to_csv(out / f"bound_{curve.provenance}.csv", grid,
-                     header_extra=_header(cfg))
+        write_csv(out / f"bound_{curve.provenance}.csv",
+                  f"# modtail tail curve provenance={curve.provenance}\n"
+                  f"# constants={json.dumps(curve.constants, sort_keys=True)}\n"
+                  f"{_header(cfg)}", {"u": grid, "bound": curve.evaluate(grid)})
     return EXIT_OK
 
 
@@ -150,16 +154,21 @@ def cmd_entropy(cfg: RunConfig, out: Path) -> int:
 def cmd_moments(cfg: RunConfig, out: Path) -> int:
     params = cfg.params()
     curve = MomentCurve.compute(params, default_p_grid(params))
-    curve.to_csv(out / "moments.csv", header_extra=_header(cfg))
+    write_csv(out / "moments.csv",
+              f"# modtail moment curve\n# {params.describe()}\n{_header(cfg)}",
+              {"p": curve.p_grid, "moment": curve.values,
+               "quad_error": curve.errors})
     return EXIT_OK
 
 
 def cmd_fenchel(cfg: RunConfig, out: Path) -> int:
     params = cfg.params()
     psi = GeneratingFunction.from_theta(params)
-    y_grid = np.geomspace(1.0, 40.0, 64)
-    FenchelCurve.compute(psi, y_grid).to_csv(out / "fenchel.csv",
-                                             header_extra=_header(cfg))
+    curve = FenchelCurve.compute(psi, np.geomspace(1.0, 40.0, 64))
+    write_csv(out / "fenchel.csv",
+              f"# modtail fenchel curve ({psi.provenance}, b={psi.b:g})\n"
+              f"{_header(cfg)}",
+              {"y": curve.y_grid, "nu_star": curve.values, "p_star": curve.p_star})
     return EXIT_OK
 
 

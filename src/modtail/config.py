@@ -43,16 +43,16 @@ _TABLE = {
     "bounds.mode": _Key((str,), "pessimistic",
                         choices=("pessimistic", "calibrated")),
     "bounds.c1": _Key(_OPT_NUM, None, range=(0, math.inf, False)),
-    "bounds.calibration_slack_dkw": _Key(_NUM, 2.0),
+    "bounds.calibration_slack_dkw": _Key(_NUM, 2.0, range=(0, math.inf, True)),
     "plan.n_grid": _Key((list,), [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024],
                         items=(int,)),
     "plan.reps": _Key((int,), 100000, range=(1000, math.inf, True)),
-    "plan.seed": _Key((int,), 1),
+    "plan.seed": _Key((int,), 1, range=(0, math.inf, True)),
     "plan.u_points": _Key((int,), 64),
     "plan.u_min": _Key(_OPT_NUM, None),
     "plan.u_max": _Key(_OPT_NUM, None),
     "plan.dkw_delta": _Key(_NUM, 1e-3, range=(0, 1, False)),
-    "plan.budget": _Key((int,), 10 ** 9),
+    "plan.budget": _Key((int,), 10 ** 9, range=(1, math.inf, True)),
     "plan.threads": _Key((int,), 1, range=(1, math.inf, True)),
     "confidence.delta": _Key(_NUM, 1e-3, range=(0, 1, False)),
     "confidence.n": _Key((int,), 10000, range=(1, math.inf, True)),

@@ -118,7 +118,7 @@ def _default_y_star(probe: MdtParams) -> float:
         i = pos[-1]
         if i + 1 >= ys.size:
             raise NumericError("tail formula still increasing at the scan edge",
-                               {"y_max": float(ys[-1])})
+                               {"law": probe.describe(), "y_max": float(ys[-1])})
         y0 = _bisect(lambda y: _log_tail_y(probe, y, slope=True)[1] <= 0,
                      float(ys[i]), float(ys[i + 1]), 1e-15)
     if _log_tail_y(probe, y0) <= 0:
@@ -128,7 +128,8 @@ def _default_y_star(probe: MdtParams) -> float:
     while _log_tail_y(probe, y_hi) > 0:
         y_hi *= 2.0
         if y_hi > 1e6:
-            raise NumericError("tail formula never drops below 1", {"y": y_hi})
+            raise NumericError("tail formula never drops below 1",
+                               {"law": probe.describe(), "y": y_hi})
     return _bisect(lambda y: _log_tail_y(probe, y) <= 0, y0, y_hi, 1e-15)
 
 

@@ -160,7 +160,6 @@ def fenchel(psi: GeneratingFunction, y) -> FenchelPoint:
 class FenchelCurve:
     """nu*(y) and its argmax p*(y) on a y-grid."""
 
-    psi: GeneratingFunction
     y_grid: np.ndarray
     values: np.ndarray
     p_star: np.ndarray
@@ -169,13 +168,7 @@ class FenchelCurve:
     def compute(cls, psi: GeneratingFunction, y_grid: Sequence[float]) -> "FenchelCurve":
         y_grid = np.asarray(y_grid, dtype=float)
         pt = fenchel(psi, y_grid)
-        return cls(psi=psi, y_grid=y_grid, values=pt.value, p_star=pt.argmax)
-
-    def to_csv(self, path, header_extra: str = "") -> None:
-        rows = np.column_stack([self.y_grid, self.values, self.p_star])
-        header = (f"# modtail fenchel curve ({self.psi.provenance}, b={self.psi.b:g})\n"
-                  f"{header_extra}y,nu_star,p_star")
-        np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=header, comments="")
+        return cls(y_grid=y_grid, values=pt.value, p_star=pt.argmax)
 
 
 def tail_from_gls(psi: GeneratingFunction, norm_value: float, z: float) -> float:

@@ -1,4 +1,5 @@
-"""The random stream, every sampler that reads it, and certification.
+"""The random stream, every sampler that reads it, certification, and
+the two result-file writers, write_json and write_csv.
 
 The stream: block b of seed s is the raw 64-bit words of PCG64DXSM keyed
 by SeedSequence([s, b]), read STREAM_BLOCK words at a time, so no block
@@ -90,6 +91,8 @@ class SimulationPlan:
             raise DomainError("u_grid must not be empty")
         if self.threads < 1:
             raise DomainError("threads must be >= 1")
+        if not 0 < self.dkw_delta < 1:
+            raise DomainError("dkw_delta must lie in (0, 1)")
 
     def echo(self) -> Dict:
         return {"params": self.params.describe(), "n_grid": list(self.n_grid),
@@ -116,6 +119,13 @@ def write_json(path, payload: Dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_csv(path, header: str, columns: Dict[str, np.ndarray]) -> None:
+    """The named columns as CSV: the header ("#" lines, each ending in a
+    newline), the row of names, then the values in %.17g; commas between."""
+    np.savetxt(path, np.column_stack(list(columns.values())), fmt="%.17g",
+               delimiter=",", header=header + ",".join(columns), comments="")
 
 
 def make_plan(params: MdtParams, seed: int,
@@ -162,9 +172,6 @@ class EmpiricalTailReport:
                              self.plan.dkw_delta / len(self.plan.n_grid))
 
     def to_csv(self, path, header_extra: str = "") -> None:
-        cols = ["u"] + [f"tail_n{n}" for n in self.plan.n_grid] + ["qhat", "dkw"]
-        rows = np.column_stack([self.u_grid, self.tails.T, self.qhat,
-                                np.full_like(self.qhat, self.dkw)])
         header = (f"# modtail simulation report v{_version}\n"
                   f"# {self.plan.params.describe()}\n"
                   f"# seed={self.plan.seed} reps={self.plan.reps} "
@@ -172,8 +179,10 @@ class EmpiricalTailReport:
                   f"# dkw joint level={1 - self.plan.dkw_delta:g} "
                   f"split over {len(self.plan.n_grid)} n: "
                   f"delta_n={self.plan.dkw_delta / len(self.plan.n_grid):g}\n"
-                  f"{header_extra}" + ",".join(cols))
-        np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=header, comments="")
+                  f"{header_extra}")
+        tails = {f"tail_n{n}": t for n, t in zip(self.plan.n_grid, self.tails)}
+        write_csv(path, header, {"u": self.u_grid, **tails, "qhat": self.qhat,
+                                 "dkw": np.full_like(self.qhat, self.dkw)})
 
 
 def stream_words(seed: int, block: int, count: int) -> np.ndarray:
@@ -182,6 +191,8 @@ def stream_words(seed: int, block: int, count: int) -> np.ndarray:
     block is its own generator, so any block can be read without the
     ones before it, and blocks of one seed, like those of two seeds, are
     independent streams."""
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     return np.random.PCG64DXSM(np.random.SeedSequence([seed, block])).random_raw(count)
 
 
@@ -485,7 +496,6 @@ class CurveVerdict:
 
 @dataclass(frozen=True, eq=False)
 class CertificationResult:
-    report: EmpiricalTailReport
     verdicts: List[CurveVerdict]
 
     @property
@@ -526,7 +536,7 @@ def certify(report: EmpiricalTailReport,
             provenance=curve.provenance, passed=bool(mask.any() and not bad.any()),
             checked_cells=int(mask.sum()),
             violations=[float(x) for x in u[mask][bad]]))
-    return CertificationResult(report=report, verdicts=verdicts)
+    return CertificationResult(verdicts=verdicts)
 
 
 @dataclass(frozen=True)

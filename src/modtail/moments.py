@@ -111,7 +111,6 @@ def moment_from_tail(params: MdtParams, p, return_error: bool = False):
 class MomentCurve:
     """E|xi|**p on a p-grid, with quadrature error estimates."""
 
-    params: MdtParams
     p_grid: np.ndarray
     values: np.ndarray
     errors: np.ndarray
@@ -120,13 +119,7 @@ class MomentCurve:
     def compute(cls, params: MdtParams, p_grid: Sequence[float]) -> "MomentCurve":
         p_grid = np.asarray(p_grid, dtype=float)
         values, errors = moment_from_tail(params, p_grid, return_error=True)
-        return cls(params=params, p_grid=p_grid, values=values, errors=errors)
-
-    def to_csv(self, path, header_extra: str = "") -> None:
-        rows = np.column_stack([self.p_grid, self.values, self.errors])
-        header = (f"# modtail moment curve\n# {self.params.describe()}\n"
-                  f"{header_extra}p,moment,quad_error")
-        np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=header, comments="")
+        return cls(p_grid=p_grid, values=values, errors=errors)
 
 
 def default_p_grid(params: MdtParams, n: int = 33, p_lo: float = 2.0) -> np.ndarray:

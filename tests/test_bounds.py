@@ -256,13 +256,3 @@ def test_curve_objects():
     assert not renamed.is_upper_bound()
     with pytest.raises(DomainError):
         dataclasses.replace(witness_curve(params), kind="both")
-
-
-def test_curve_csv_roundtrip(tmp_path):
-    params = make_mdt(4.0, 0.0)
-    curve = closed_curve(params)
-    path = tmp_path / "curve.csv"
-    u = np.geomspace(E, 1e3, 16)
-    curve.to_csv(path, u)
-    data = np.loadtxt(path, delimiter=",", skiprows=3)
-    assert np.allclose(data[:, 1], curve.evaluate(u), rtol=1e-15)

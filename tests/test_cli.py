@@ -2,15 +2,21 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 from modtail import distribution
-from modtail.bounds import c1_pessimistic
+from modtail.bounds import (c1_pessimistic, closed_curve, fenchel_curve_bound,
+                            witness_curve)
 from modtail.distribution import make_mdt
 from modtail.cli import main
 from modtail.config import RunConfig
 from modtail.entropy import _component_gls_norm, finite_net_union_bound
+from modtail.errors import in_domain
+from modtail.fenchel import GeneratingFunction, fenchel
+from modtail.harness import default_u_grid
+from modtail.moments import MomentCurve, default_p_grid
 
 FAST_PLAN = """
 plan:
@@ -182,16 +188,41 @@ def test_entropy_reports_where_the_net_bound_reaches_delta(tmp_path):
     assert levels[64] > levels[16]
 
 
-def test_moments_command(tmp_path, cfg):
-    out = tmp_path / "out"
-    assert run(["moments", "--config", cfg, "--out", str(out)]) == 0
-    assert (out / "moments.csv").exists()
+def _read_csv(path):
+    """The row of column names of a result CSV, and its data columns."""
+    lines = path.read_text().splitlines()
+    k = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    return lines[k].split(","), np.loadtxt(lines[k + 1:], delimiter=",",
+                                           ndmin=2).T
 
 
-def test_fenchel_command(tmp_path, cfg):
+def test_result_files_match_the_library(tmp_path, cfg):
+    # bound, moments and fenchel write what the library computes, column
+    # by column under the row of names
     out = tmp_path / "out"
-    assert run(["fenchel", "--config", cfg, "--out", str(out)]) == 0
-    assert (out / "fenchel.csv").exists()
+    for command in ("bound", "moments", "fenchel"):
+        assert run([command, "--config", cfg, "--out", str(out)]) == 0
+    params = make_mdt(4.0, 0.0)
+    u_grid = default_u_grid(params, 16, u_max=40.0)
+    expected = {}
+    for curve in (closed_curve(params), fenchel_curve_bound(params),
+                  witness_curve(params)):
+        u = u_grid[in_domain(u_grid, curve.u_min)]
+        expected[f"bound_{curve.provenance}.csv"] = {
+            "u": u, "bound": curve.evaluate(u)}
+    moments = MomentCurve.compute(params, default_p_grid(params))
+    expected["moments.csv"] = {"p": moments.p_grid, "moment": moments.values,
+                               "quad_error": moments.errors}
+    y = np.geomspace(1.0, 40.0, 64)
+    pt = fenchel(GeneratingFunction.from_theta(params), y)
+    expected["fenchel.csv"] = {"y": y, "nu_star": pt.value, "p_star": pt.argmax}
+    assert {p.name for p in out.iterdir()} == set(expected)
+    for name, columns in expected.items():
+        names, data = _read_csv(out / name)
+        assert names == list(columns), name
+        for got, want in zip(data, columns.values(), strict=True):
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0,
+                                       err_msg=name)
 
 
 def test_malformed_v_expression(tmp_path, capsys):
@@ -288,6 +319,10 @@ def test_bounds_c1_must_be_finite_positive(tmp_path, capsys, c1):
     ("confidence", "confidence.delta", 0.0),
     ("confidence", "confidence.n", 0),
     ("simulate", "plan.threads", 0),
+    ("certify", "plan.seed", -1),
+    ("simulate", "plan.budget", 0),
+    ("certify", "bounds.calibration_slack_dkw", -1.0),
+    ("certify", "bounds.calibration_slack_dkw", float("nan")),
 ])
 def test_out_of_range_values_are_config_errors(tmp_path, capsys, command, key,
                                                value):
@@ -306,6 +341,14 @@ def test_threads_override_is_range_checked(tmp_path, cfg, capsys):
     assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
                 "--threads", "0"]) == 2
     assert "'plan.threads'" in capsys.readouterr().err
+
+
+def test_seed_override_is_range_checked(tmp_path, cfg, capsys):
+    # exit 1 is a failed certification: a negative seed must not reach
+    # the stream
+    assert run(["certify", "--config", cfg, "--out", str(tmp_path / "o"),
+                "--seed", "-1"]) == 2
+    assert "'plan.seed'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, value", [("u_points", 0), ("u_points", -3),

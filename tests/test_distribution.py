@@ -84,6 +84,14 @@ def test_default_u_star_is_the_value_root():
     assert 1.0 - 1e-12 <= tail_formula(p, p.u_star) <= 1.0
 
 
+def test_activation_error_names_the_law():
+    # gamma = 2000 keeps the log-tail slope -3 + 2000/y positive up to the
+    # scan edge y = 400
+    with pytest.raises(NumericError, match="scan edge") as info:
+        make_mdt(3.0, 2000.0)
+    assert info.value.diagnostics["law"].startswith("beta=3 gamma=2000 V=c(1) ")
+
+
 def test_bisect():
     # the first y with y**2 >= 2, returned from the side where ok holds
     hi = distribution._bisect(lambda y: y * y >= 2.0, 1.0, 2.0, 1e-12)
@@ -341,6 +349,15 @@ def test_sample_deterministic():
     b = sample(p, seed=123, n=1000)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, sample(p, seed=124, n=1000))
+
+
+def test_negative_seed_is_a_domain_error():
+    # every sampler reads the stream through stream_words
+    p = make_mdt(4.0, 0.0)
+    with pytest.raises(DomainError, match="seed"):
+        sample(p, seed=-1, n=10)
+    with pytest.raises(DomainError, match="seed"):
+        stream_words(-1, 0, 10)
 
 
 def test_sample_splittable_stream():

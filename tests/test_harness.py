@@ -573,9 +573,10 @@ def test_lane_count_invariance():
 
 
 @pytest.mark.parametrize("bad", [{"radius": math.nan}, {"radius": math.inf},
-                                 {"radius": -1.0}, {"trials": 0}, {"n": 0}],
+                                 {"radius": -1.0}, {"trials": 0}, {"n": 0},
+                                 {"seed": -1}],
                          ids=["nan-radius", "inf-radius", "negative-radius",
-                              "no-trial", "empty-mean"])
+                              "no-trial", "empty-mean", "negative-seed"])
 def test_coverage_rejects_what_it_cannot_measure(bad):
     # a NaN radius, as an unattained confidence_radius gives, must not
     # read as perfect coverage
@@ -587,6 +588,13 @@ def test_coverage_rejects_what_it_cannot_measure(bad):
 def test_plan_needs_a_lane():
     with pytest.raises(DomainError):
         small_plan(threads=0)
+
+
+@pytest.mark.parametrize("delta", [0.0, 1.0, -0.5, math.nan])
+def test_plan_rejects_a_dkw_level_outside_the_unit_interval(delta):
+    # checked when the plan is made, not after the whole simulation
+    with pytest.raises(DomainError, match="dkw_delta"):
+        small_plan(dkw_delta=delta)
 
 
 def test_field_samples_its_own_law():

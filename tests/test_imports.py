@@ -7,6 +7,8 @@ import modtail
 
 MODULES = sorted(p for p in Path(modtail.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+# the modules that write result files; every other one returns data
+WRITERS = {"harness.py", "cli.py"}
 
 
 def unused_imports(source: str):
@@ -63,3 +65,41 @@ def test_function_import_check_sees_them():
            "    return g\n"
            "class C:\n    def m(self):\n        import re\n")
     assert function_imports(src) == [3, 5, 9]
+
+
+def file_writes(source: str):
+    """Lines of the calls that write a file: savetxt, json.dump, and open
+    with a mode that writes, appends or creates (a mode that is not a
+    literal counts as one)."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        fn = node.func
+        if isinstance(fn, ast.Attribute) and (
+                fn.attr == "savetxt" or (fn.attr == "dump" and isinstance(
+                    fn.value, ast.Name) and fn.value.id == "json")):
+            lines.add(node.lineno)
+        elif isinstance(fn, ast.Name) and fn.id == "open":
+            mode = ([kw.value for kw in node.keywords if kw.arg == "mode"]
+                    or node.args[1:2])
+            if mode and not (isinstance(mode[0], ast.Constant)
+                             and set(str(mode[0].value)).isdisjoint("wax+")):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in WRITERS],
+                         ids=lambda p: p.name)
+def test_only_harness_and_cli_write_files(path):
+    assert file_writes(path.read_text()) == []
+
+
+def test_file_write_check_sees_them():
+    # reading is not writing; a write mode, positional or keyword, is
+    src = ("import json\nimport numpy as np\n"
+           "open('a')\nopen('a', 'rb')\nopen('a', mode='r')\n"
+           "open('a', 'w')\nopen('a', mode='ab')\nopen('a', 'r+')\n"
+           "open('a', m)\nnp.savetxt('a', x)\njson.dump(x, fh)\n"
+           "json.dumps(x)\npickle.dump(x, fh)\n")
+    assert file_writes(src) == [6, 7, 8, 9, 10, 11]
