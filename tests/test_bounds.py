@@ -14,7 +14,8 @@ from modtail.distribution import make_mdt, survival
 from modtail.errors import DomainError
 from modtail.fenchel import GeneratingFunction, tail_from_gls
 from modtail.moments import default_p_grid, moment_from_tail
-from modtail.harness import confidence_radius, default_u_grid, sample
+from modtail.harness import (confidence_radius, default_u_grid, sample,
+                             write_csv)
 from modtail.slowvary import ONE, LogPower, parse_sv
 
 E = math.e
@@ -256,3 +257,14 @@ def test_curve_objects():
     assert not renamed.is_upper_bound()
     with pytest.raises(DomainError):
         dataclasses.replace(witness_curve(params), kind="both")
+
+
+def test_curve_csv_roundtrip(tmp_path):
+    params = make_mdt(4.0, 0.0)
+    curve = closed_curve(params)
+    path = tmp_path / "curve.csv"
+    u = np.geomspace(E, 1e3, 16)
+    write_csv(path, f"# provenance={curve.provenance}\n# {params.describe()}\n",
+              {"u": u, "bound": curve.evaluate(u)})
+    data = np.loadtxt(path, delimiter=",", skiprows=3)
+    assert np.allclose(data[:, 1], curve.evaluate(u), rtol=1e-15)
