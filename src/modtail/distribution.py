@@ -28,9 +28,11 @@ _NEWTON_STEPS = 100
 # quantile and the harness's sampling pipeline work through their input
 # in blocks of this many draws, so the working arrays stay in cache
 _BLOCK = 16384
-# inverse table node k sits at g = expm1(k / scale); the last node lies
-# past -ln of the smallest positive double (744.44)
-_TABLE_NODES = 4096
+# inverse table node k sits at g = knee expm1(k / scale), finest near
+# g = 0 where y(g) curves most; g / knee is exact for a power-of-2 knee,
+# and the last node lies past -ln of the smallest positive double (744.44)
+_TABLE_NODES = 5120
+_TABLE_KNEE = 0.25
 _TABLE_G_MAX = 750.0
 
 
@@ -55,9 +57,10 @@ class MdtParams:
         if not (np.isfinite(self.u_star) and self.u_star >= _E):
             raise DomainError(f"u_star must be >= e, got {self.u_star}")
 
-    def describe(self) -> str:
+    def describe(self, resolved: bool = True) -> str:
+        u_star = f"{self.u_star:.12g}" if resolved else "unresolved"
         return (f"beta={format_num(self.beta)} gamma={format_num(self.gamma)} "
-                f"V={format_sv(self.v)} u_star={self.u_star:.12g}")
+                f"V={format_sv(self.v)} u_star={u_star}")
 
     @cached_property
     def log_tail_star(self) -> float:
@@ -109,6 +112,7 @@ def make_mdt(beta: float, gamma: float, v: SlowlyVarying = ONE,
 
 
 def _default_y_star(probe: MdtParams) -> float:
+    law = probe.describe(resolved=False)
     ys = np.geomspace(1.0, 400.0, 4096)
     slopes = _log_tail_y(probe, ys, slope=True)[1]
     pos = np.flatnonzero(slopes > 0)
@@ -118,7 +122,7 @@ def _default_y_star(probe: MdtParams) -> float:
         i = pos[-1]
         if i + 1 >= ys.size:
             raise NumericError("tail formula still increasing at the scan edge",
-                               {"law": probe.describe(), "y_max": float(ys[-1])})
+                               {"law": law, "y_max": float(ys[-1])})
         y0 = _bisect(lambda y: _log_tail_y(probe, y, slope=True)[1] <= 0,
                      float(ys[i]), float(ys[i + 1]), 1e-15)
     if _log_tail_y(probe, y0) <= 0:
@@ -129,7 +133,7 @@ def _default_y_star(probe: MdtParams) -> float:
         y_hi *= 2.0
         if y_hi > 1e6:
             raise NumericError("tail formula never drops below 1",
-                               {"law": probe.describe(), "y": y_hi})
+                               {"law": law, "y": y_hi})
     return _bisect(lambda y: _log_tail_y(probe, y) <= 0, y0, y_hi, 1e-15)
 
 
@@ -160,13 +164,17 @@ def _validate_activation(params: MdtParams) -> None:
 
 
 class _InverseTable:
-    """Monotone table of (g, y) with g = -ln S(y): the start and bracket of
-    quantile's Newton step for every law without a closed-form inverse.
+    """Monotone table of (g, y) with g = -ln S(y): quantile's start and
+    bracket for every law without a closed-form inverse.
 
-    Node k sits at g = expm1(k / scale), so the node below a target is
+    Node k sits at g = knee expm1(k / scale), so the node below g is
     found by arithmetic instead of a search.  Each node's y is solved
     once, by the safeguarded Newton loop, and its g is then recomputed
-    from that y, so every (g, y) pair is exact.
+    from that y, so every (g, y) pair is exact.  Interval k holds the
+    cubic Hermite coefficients y, c1, c2, c3 in d = g - g_k, from the
+    exact nodal slopes dy/dg = -1 / (d ln tail / dy), or the chord where
+    that cubic fails the Fritsch-Carlson monotonicity test, as where the
+    slope vanishes at u_star.
     """
 
     def __init__(self, params: MdtParams):
@@ -177,8 +185,8 @@ class _InverseTable:
             if y_max > 1e6:
                 raise NumericError("tail formula too flat to invert",
                                    {"law": params.describe(), "y": y_max})
-        self.scale = (_TABLE_NODES - 1) / math.log1p(_TABLE_G_MAX)
-        g = np.expm1(np.arange(_TABLE_NODES) / self.scale)
+        self.scale = (_TABLE_NODES - 1) / math.log1p(_TABLE_G_MAX / _TABLE_KNEE)
+        g = _TABLE_KNEE * np.expm1(np.arange(_TABLE_NODES) / self.scale)
         y = np.minimum(y_star + g / params.beta, y_max)
         target = l_star - g
         tol = 1e-13 * (1.0 + np.abs(target))
@@ -186,29 +194,38 @@ class _InverseTable:
         if not np.all(np.abs(f) <= tol):
             raise NumericError("inverse table failed to converge",
                                {"law": params.describe()})
-        self.g = l_star - _log_tail_y(params, y)
-        self.y = y
-        self.slope = np.diff(y) / np.diff(self.g)
+        lt, dl = _log_tail_y(params, y, slope=True)
+        self.g, self.y = l_star - lt, y
+        h = np.diff(self.g)
+        s = np.diff(y) / h
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            m = -1.0 / np.broadcast_to(dl, y.shape)
+            a, b = m[:-1] / s, m[1:] / s
+            cubic = (a >= 0) & (b >= 0) & (a * a + b * b <= 9.0)
+            self.c1 = np.where(cubic, m[:-1], s)
+            self.c2 = np.where(cubic, (3.0 - 2.0 * a - b) * s / h, 0.0)
+            self.c3 = np.where(cubic, (a + b - 2.0) * s / (h * h), 0.0)
         # rounding moves a target at most one node off its computed index
         k = np.arange(y.size)
         self.lo = y[np.maximum(k - 1, 0)]
         self.hi = y[np.minimum(k + 2, y.size - 1)]
 
     def start(self, g: np.ndarray, k=None, y=None, work=(None, None)):
-        """The node index k below g, and linear interpolation y at g.
-
-        Written to k (intp) and y when given, with the two arrays in
+        """The node index k below g and interval k's cubic at g, by Horner
+        on one gathered coefficient at a time (gathering a row of four per
+        draw is slower); to k (intp) and y when given, with the arrays in
         work as scratch, all shaped like g and apart from it."""
-        t = np.log1p(g, out=work[0])
+        t = np.log1p(np.multiply(g, 1.0 / _TABLE_KNEE, out=work[0]), out=work[0])
         t *= self.scale
         # the cast to intp truncates t >= 0, as astype does
         k = np.minimum(t, self.y.size - 2, out=k, dtype=np.intp,
                        casting="unsafe")
-        y = np.take(self.y, k, out=y, mode="clip")
         d = np.subtract(g, np.take(self.g, k, out=work[0], mode="clip"),
                         out=work[0])
-        d *= np.take(self.slope, k, out=work[1], mode="clip")
-        y += d
+        y = np.take(self.c3, k, out=y, mode="clip")
+        for c in (self.c2, self.c1, self.y):
+            y *= d
+            y += np.take(c, k, out=work[1], mode="clip")
         return k, y
 
 
@@ -272,17 +289,17 @@ def quantile(params: MdtParams, q):
     Solves for y = ln u against the target g = -ln q, vectorized over q.
     For the pure power law (gamma = 0, constant V) the start is the exact
     inverse y = y_star + g / beta.  Every other law in the grammar starts
-    from linear interpolation in a monotone table of (-ln S(y), y), built
-    once per law and cached on the params, and takes one Newton step for
-    all draws at once.  Either way each stage is written into one
-    workspace per block, and a block is accepted whole when its largest
-    log-space residual passes the strictest per-draw test; its error is
-    then bounded by that residual.  Otherwise the draws that fail their
-    own test go, from their start, to one safeguarded loop: Newton with
-    bisection inside a bracket (of table nodes for a tabled law, whose
-    first step is the dense step again), and the block's error is each
-    draw's own |survival(u) - q|.  NumericError, with the law and the
-    worst q, unless every error is <= 1e-10.
+    from the cubic Hermite interpolant of a monotone table of
+    (-ln S(y), y), built once per law and cached on the params, clamped
+    at y_star.  Either way each stage is written into one workspace per
+    block, the start's residual is evaluated once, and a block is
+    accepted whole when its largest log-space residual passes the
+    strictest per-draw test; its error is then bounded by that residual.
+    Otherwise the draws that fail their own test go, from their start
+    and its residual, to one safeguarded loop: Newton with bisection
+    inside a bracket (of table nodes for a tabled law), and the block's
+    error is each draw's own |survival(u) - q|.  NumericError, with the
+    law and the worst q, unless every error is <= 1e-10.
     """
     q_arr = np.asarray(q, dtype=float)
     flat = q_arr.reshape(-1)
@@ -316,7 +333,7 @@ def _quantile_block(params: MdtParams, q: np.ndarray, out: np.ndarray):
     are the largest residual itself and its q.
 
     Every stage goes through one workspace with y in out, two rows for a
-    pure power law and seven for a tabled law, so the block allocates no
+    pure power law and five for a tabled law, so the block allocates no
     other block-sized array unless its largest residual fails the test;
     then its failing draws, and only they, go to one _newton call.
     """
@@ -325,31 +342,24 @@ def _quantile_block(params: MdtParams, q: np.ndarray, out: np.ndarray):
         raise DomainError("quantile requires q in (0, 1]")
     y_star = math.log(params.u_star)
     pure = _pure_power(params)
-    work = np.empty((2 if pure else 7, q.size))
+    work = np.empty((2 if pure else 5, q.size))
     target = np.log(q, out=work[0])
     if pure:
         # the exact inverse is both the start and the answer
-        y0 = y = np.divide(target, -params.beta, out=out)
+        y = np.divide(target, -params.beta, out=out)
         y += y_star
-        target += params.log_tail_star
-        f0 = f = _log_tail_y(params, y, work=(work[1],) * 2)
-        f -= target
+        f_work = (work[1],) * 2
     else:
         table = params._inverse_table
-        # g = -target in the row f0 takes next
-        k, y0 = table.start(np.negative(target, out=work[3]),
-                            work[1].view(np.intp), work[2], work[5:7])
-        target += params.log_tail_star
-        f0, slope = _log_tail_y(params, y0, slope=True, work=work[3:7])
-        f0 -= target
-        # f decreases on [y_star, inf), so any y there that passes the
-        # residual test is a root; a NaN from a vanishing slope fails it
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            y = np.divide(f0, slope, out=out)
-            np.subtract(y0, y, out=y)
-            np.maximum(y, y_star, out=y)
-            f = _log_tail_y(params, y, work=work[4:6])
-            f -= target
+        # g = -target in the row f takes next
+        k, y = table.start(np.negative(target, out=work[2]),
+                           work[1].view(np.intp), out, work[3:5])
+        # f decreases on [y_star, inf): any y there that passes is a root
+        np.maximum(y, y_star, out=y)
+        f_work = work[2:4]
+    target += params.log_tail_star
+    f = _log_tail_y(params, y, work=f_work)
+    f -= target
     err = math.inf
     f_max = max(f.max(), -f.min())
     # within f_tol at q = 1, its smallest value, every draw passes; a NaN
@@ -361,11 +371,9 @@ def _quantile_block(params: MdtParams, q: np.ndarray, out: np.ndarray):
         bad = np.flatnonzero(~(np.abs(f) <= f_tol))
         lo, hi = ((y_star, y_star + _TABLE_G_MAX / params.beta) if pure
                   else (table.lo[k[bad]], table.hi[k[bad]]))
-        # from the start y0 and its f0: for a tabled law the loop's first
-        # step is the dense step again, so its iterates are the block's
-        y_bad = y0[bad]
+        y_bad = y[bad]
         f[bad] = _newton(params, target[bad], y_bad, lo, hi, f_tol[bad],
-                         f0[bad])
+                         f[bad])
         y[bad] = y_bad
     # |S - q| = q |expm1(f)|: at most expm1(max |f|) for an accepted
     # block; each draw's residual, in the target's row, for a block that

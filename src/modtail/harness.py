@@ -344,6 +344,8 @@ def _run(seed: int, reps: int, per_rep: int, n: int, threads: int,
     def lane(k):
         return sum(map(run, chunks[k::lanes]))
 
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     chunks = _chunks(reps, per_rep)
     # more lanes than usable CPUs or than chunks only add contention
     lanes = min(threads, len(os.sched_getaffinity(0)), len(chunks))

@@ -90,6 +90,10 @@ def test_activation_error_names_the_law():
     with pytest.raises(NumericError, match="scan edge") as info:
         make_mdt(3.0, 2000.0)
     assert info.value.diagnostics["law"].startswith("beta=3 gamma=2000 V=c(1) ")
+    # the scan's probe has no activation point yet: its placeholder e is
+    # not named as the law's
+    assert info.value.diagnostics["law"].endswith(" u_star=unresolved")
+    assert "2.718" not in info.value.diagnostics["law"]
 
 
 def test_bisect():
@@ -178,14 +182,21 @@ def test_quantile_property_over_grammar(beta, gamma, v):
     assert np.max(np.abs(survival(p, u) - q)) <= 1e-10
     assert np.all(np.diff(u) <= 0)
     assert quantile(p, 1.0) == p.u_star
+    # every interval's cubic is finite, and the start at each node is
+    # that node's y exactly, whether the node's index or the one below is
+    # taken
+    table = p._inverse_table
+    assert all(np.all(np.isfinite(c)) for c in (table.c1, table.c2, table.c3))
+    assert np.array_equal(table.start(table.g)[1], table.y)
 
 
 @pytest.mark.parametrize("beta,gamma,v", [(3.0, 6.0, "c(1)"),
                                            (2.05, 3.0, "lp(2)*ilp(-1)")])
 def test_quantile_fallback_where_slope_vanishes(beta, gamma, v, monkeypatch):
-    # the log-tail slope vanishes at u_star, so one dense Newton step
-    # leaves some draws with q near 1 unconverged; they restart in the
-    # safeguarded loop, which must give what it gives on its own
+    # the log-tail slope vanishes at u_star, so y(g) goes like sqrt(g)
+    # there and the table's start misses some draws with q near 1; they
+    # go on in the safeguarded loop, which must give what it gives on its
+    # own
     p = make_mdt(beta, gamma, parse_sv(v))
     table = p._inverse_table
     q = word_uniforms(stream_words(7, 0, 1 << 15))
@@ -291,27 +302,41 @@ def test_quantile_error_names_the_worst_residual(monkeypatch):
     assert diag["max_abs_err"] == err.max()
 
 
-@pytest.mark.parametrize("beta,gamma,v,digest", [
-    (3.0, -2.0, "lp(-1)",
-     "67b894cd56907b896830fd7b959c4ff6cc089ebdb5ac2190c0a2bf6e8efc4d5a"),
-    (3.0, -1.0, "c(2)",
-     "6f0fc19ffa9ec43bc9c1c7b69af228bbd868a0d99cf444b2bd225c13035e6934"),
-    (4.0, 0.5, "ilp(2)",
-     "17de49be73ca42c1fc08f67f748ffd5a9176e83594ad51d75bddfb798fd9053d"),
-    (2.5, 1.5, "c(0.5)*lp(1)*ilp(-1)",
-     "f0e3bd036cf743b575e084dbdf30a9804fdf3e69f71474d8b377409bc2184739"),
-    # laws whose blocks fail the block test and take the Newton fallback
-    (3.0, 6.0, "c(1)",
-     "8e230541a3110be21f78fe9e9b80c3f9142b377a7b66789456bf33cef17ad7be"),
-    (2.05, 3.0, "lp(2)*ilp(-1)",
-     "f5af1c3a6e21e2905cc8de34f2f143144e741c34d7a0df50ac7faee71662eaf2")])
-def test_golden_quantile(beta, gamma, v, digest):
+@pytest.mark.parametrize("beta,gamma,v,falls_back,digest", [
+    (3.0, -2.0, "lp(-1)", False,
+     "09405aa8115fae25c03f79be07b857f7d9177d22bea9cf0f65b8fd64a175d488"),
+    (3.0, -1.0, "c(2)", False,
+     "4956ec5efa9d79725376daf6f6fd0be1789700ffe93e7fe3525daea3c0f2edd9"),
+    (4.0, 0.5, "ilp(2)", False,
+     "0d20258badcb95a50a95394d04c010000fda1f6c56a7bc9d8c1727acd2b39b1e"),
+    (2.5, 1.5, "c(0.5)*lp(1)*ilp(-1)", False,
+     "a76d509c1f58fdac6a61633ff70e3de0ddcf146d4b362be6804c0eaa905f65ad"),
+    # laws whose slope vanishes at u_star: some draws take the fallback
+    (3.0, 6.0, "c(1)", True,
+     "55c700a60c3caac9170cf16b0740a80bbc0a33199c32a894767aa3436879e5a8"),
+    (2.05, 3.0, "lp(2)*ilp(-1)", True,
+     "b1b2e42c9f645c1be179ebea201c999d2ebae920c430b390788504a12709982a")])
+def test_golden_quantile(beta, gamma, v, falls_back, digest, monkeypatch):
     # the general-law kernel on four blocks of the stream, pinned by
     # digest: V's a, b and ln c and gamma in regimes A, B and C, so a
-    # change to the table start, the Newton step, the block test or the
-    # fallback must keep every draw bit for bit
+    # change to the table, its cubic start, the block test or the
+    # fallback must keep every draw bit for bit.  On the interior laws
+    # the start alone passes every draw, so no draw reaches the
+    # safeguarded loop.  Draws are counted, not calls: a block that
+    # misses the block test calls the loop with none
+    params = make_mdt(beta, gamma, parse_sv(v))
+    # built before counting: the table's own node solve is not a draw
+    params._inverse_table
+    newton, sent = distribution._newton, []
+
+    def recording(params, target, *args):
+        sent.append(target.size)
+        return newton(params, target, *args)
+
+    monkeypatch.setattr(distribution, "_newton", recording)
     q = word_uniforms(stream_words(18, 0, 1 << 16))
-    u = quantile(make_mdt(beta, gamma, parse_sv(v)), q)
+    u = quantile(params, q)
+    assert (sum(sent) > 0) == falls_back
     assert hashlib.sha256(u.tobytes()).hexdigest() == digest
 
 

@@ -585,6 +585,27 @@ def test_coverage_rejects_what_it_cannot_measure(bad):
         coverage_miss_rate(PARAMS, **args)
 
 
+@pytest.mark.parametrize("runner", ["simulate", "coverage"])
+def test_negative_seed_is_rejected_before_any_fork(runner, monkeypatch):
+    # two chunks on two usable CPUs would fork a lane; the seed is
+    # checked first, so no child is started only to be sent SIGTERM
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})
+    fork, forks = os.fork, []
+
+    def recording():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(harness.os, "fork", recording)
+    with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
+        if runner == "simulate":
+            simulate(small_plan(seed=-1, n_grid=(3,), reps=100000, threads=2))
+        else:
+            coverage_miss_rate(PARAMS, n=3, radius=1.0, trials=100000, seed=-1)
+    assert forks == []
+    assert_no_child()
+
+
 def test_plan_needs_a_lane():
     with pytest.raises(DomainError):
         small_plan(threads=0)
