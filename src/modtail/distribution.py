@@ -100,7 +100,7 @@ def make_mdt(beta: float, gamma: float, v: SlowlyVarying = ONE,
 
     The default u_star is the smallest u >= e at which the tail formula is
     <= 1 and nonincreasing from there on, located by a sign scan of the
-    log-tail slope on a geometric grid followed by bisection.
+    log-tail slope on a geometric grid, then narrowed on linear grids.
     """
     probe = MdtParams(beta, gamma, v, _E)
     if u_star is None:
@@ -114,27 +114,27 @@ def make_mdt(beta: float, gamma: float, v: SlowlyVarying = ONE,
 def _default_y_star(probe: MdtParams) -> float:
     law = probe.describe(resolved=False)
     ys = np.geomspace(1.0, 400.0, 4096)
-    slopes = _log_tail_y(probe, ys, slope=True)[1]
-    pos = np.flatnonzero(slopes > 0)
-    if pos.size == 0:
-        y0 = 1.0
-    else:
-        i = pos[-1]
-        if i + 1 >= ys.size:
-            raise NumericError("tail formula still increasing at the scan edge",
-                               {"law": law, "y_max": float(ys[-1])})
-        y0 = _bisect(lambda y: _log_tail_y(probe, y, slope=True)[1] <= 0,
-                     float(ys[i]), float(ys[i + 1]), 1e-15)
-    if _log_tail_y(probe, y0) <= 0:
-        return max(1.0, y0)
-    # the peak value exceeds 1: activate where the formula drops back to 1
-    y_hi = y0 + 1.0
-    while _log_tail_y(probe, y_hi) > 0:
-        y_hi *= 2.0
-        if y_hi > 1e6:
-            raise NumericError("tail formula never drops below 1",
-                               {"law": law, "y": y_hi})
-    return _bisect(lambda y: _log_tail_y(probe, y) <= 0, y0, y_hi, 1e-15)
+    pos = np.flatnonzero(_log_tail_y(probe, ys, slope=True)[1] > 0)
+    if pos.size and pos[-1] + 1 >= ys.size:
+        raise NumericError("tail formula still increasing at the scan edge",
+                           {"law": law, "y_max": float(ys[-1])})
+
+    def ok(y):  # past the last rise, and the formula at most 1
+        value, slope = _log_tail_y(probe, y, slope=True)
+        return (slope <= 0) & (value <= 0)
+    lo, hi = (float(ys[pos[-1]]) if pos.size else 1.0), 1e6
+    if ok(lo):
+        return lo
+    if not ok(hi):
+        raise NumericError("tail formula never drops below 1",
+                           {"law": law, "y": hi})
+    # one vectorized call a step keeps the first of 64 cells where ok turns
+    # true; while hi / lo > 1 + 1e-15 some points lie strictly inside
+    while hi / lo > 1 + 1e-15:
+        grid = np.linspace(lo, hi, 65)
+        k = 1 + int(np.argmax(np.append(ok(grid[1:-1]), True)))
+        lo, hi = float(grid[k - 1]), float(grid[k])
+    return hi
 
 
 def _bisect(ok, lo: float, hi: float, rel: float) -> float:
@@ -337,8 +337,10 @@ def _quantile_block(params: MdtParams, q: np.ndarray, out: np.ndarray):
     other block-sized array unless its largest residual fails the test;
     then its failing draws, and only they, go to one _newton call.
     """
-    q_max = q.max()
-    if not (q.min() > 0 and q_max <= 1):
+    # argmax and argmin cost less per call than a ufunc reduction, and
+    # also return the first NaN, which then fails the range test
+    q_max = q[q.argmax()]
+    if not (q[q.argmin()] > 0 and q_max <= 1):
         raise DomainError("quantile requires q in (0, 1]")
     y_star = math.log(params.u_star)
     pure = _pure_power(params)
@@ -346,7 +348,7 @@ def _quantile_block(params: MdtParams, q: np.ndarray, out: np.ndarray):
     target = np.log(q, out=work[0])
     if pure:
         # the exact inverse is both the start and the answer
-        y = np.divide(target, -params.beta, out=out)
+        y = np.multiply(target, -1.0 / params.beta, out=out)
         y += y_star
         f_work = (work[1],) * 2
     else:
@@ -361,7 +363,7 @@ def _quantile_block(params: MdtParams, q: np.ndarray, out: np.ndarray):
     f = _log_tail_y(params, y, work=f_work)
     f -= target
     err = math.inf
-    f_max = max(f.max(), -f.min())
+    f_max = max(f[f.argmax()], -f[f.argmin()])
     # within f_tol at q = 1, its smallest value, every draw passes; a NaN
     # fails
     if f_max <= 1e-13 + 3e-15:

@@ -1,24 +1,24 @@
 """The random stream, every sampler that reads it, certification, and
 the two result-file writers, write_json and write_csv.
 
-The stream: block b of seed s is the raw 64-bit words of PCG64DXSM keyed
-by SeedSequence([s, b]), read STREAM_BLOCK words at a time, so no block
-needs the ones before it.  A draw takes one word r: its uniform q =
-((r >> 11) + 1) 2**-53 on (0, 1] (word_uniforms) goes through quantile
-to the magnitude, and its low bit, which q does not read, is the sign
-(sign_by_words).  A field draw takes a second word for its phase, read
-as q = i 2**-12 + j 2**-53 exactly, with i = r >> 52 and j = ((r >> 11)
-& (2**41 - 1)) + 1: the cos and sin of the turn 2 pi i / 4096 come from
-a table, those of delta = 2 pi j 2**-53 <= 1.54e-3 from series whose
-truncation error is below 1e-19, and angle addition joins them
-(rotate_by_words), with no libm call.
+The stream: block b of seed s is the raw 64-bit words of SFC64 keyed by
+SeedSequence([s, b]), read STREAM_BLOCK words at a time, so no block
+needs the ones before it.  A draw takes one word r: its uniform
+q = 1 - (r >> 12) 2**-52 on (0, 1], from the bits alone (word_uniforms),
+goes through quantile to the magnitude, and its low bit, which q does
+not read, is the sign (sign_by_words).  A field draw's second word r gives
+its phase q = ((r >> 11) + 1) 2**-53 = i 2**-12 + j 2**-53 exactly, with
+i = r >> 52 and j = ((r >> 11) & (2**41 - 1)) + 1: the cos and sin of
+the turn 2 pi i / 4096 come from a table, those of delta = 2 pi j 2**-53
+<= 1.54e-3 from series whose truncation error is below 1e-19, and angle
+addition joins them (rotate_by_words), with no libm call.
 
 One pipeline, _draws, turns words into signed draws in blocks of
 distribution._BLOCK words, small enough to stay in cache, and writes
-them over the words, so no second array as large is made.  sample reads
-draw i from word offset + i.  simulate, simulate_field and
-coverage_miss_rate run one chunked loop, _run: chunk ci reads block ci,
-so results do not depend on how many lanes run the chunks; lane 0 is
+them, sign bits first, over the words, so no second array as large is
+made.  sample reads draw i from word offset + i.  simulate, simulate_field
+and coverage_miss_rate run one chunked loop, _run: chunk ci reads block
+ci, so results do not depend on how many lanes run the chunks; lane 0 is
 the caller, the others children forked for one call (Linux only).
 
 simulate estimates Qhat(u) = max over an n-grid of empirical tails of
@@ -187,40 +187,40 @@ class EmpiricalTailReport:
 
 def stream_words(seed: int, block: int, count: int) -> np.ndarray:
     """The first count raw uint64 words of block `block` of the seed's
-    random stream: PCG64DXSM keyed by SeedSequence([seed, block]).  Each
+    random stream: SFC64 keyed by SeedSequence([seed, block]).  Each
     block is its own generator, so any block can be read without the
     ones before it, and blocks of one seed, like those of two seeds, are
     independent streams."""
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
-    return np.random.PCG64DXSM(np.random.SeedSequence([seed, block])).random_raw(count)
+    return np.random.SFC64(np.random.SeedSequence([seed, block])).random_raw(count)
 
 
 def word_uniforms(words: np.ndarray, out=None) -> np.ndarray:
-    """q = ((r >> 11) + 1) * 2**-53 for each word r: the top 53 bits as a
-    uniform on (0, 1], exactly the values 1 - Generator.random() takes.
+    """q = 2 - x = 1 - (r >> 12) 2**-52, exactly, on (0, 1] for each word r,
+    with x in [1, 2) the double whose mantissa is r's top 52 bits.
     Written to out (float64, shaped like words) when given."""
     if out is None:
         out = np.empty(words.shape)
-    bits = np.right_shift(words, np.uint64(11), out=out.view(np.uint64))
-    bits += np.uint64(1)
-    # at most 2**53, so exact as int64, which converts faster than uint64
-    return np.multiply(bits.view(np.int64), 2.0 ** -53, out=out)
+    bits = np.right_shift(words, np.uint64(12), out=out.view(np.uint64))
+    bits |= np.uint64(0x3FF0000000000000)
+    return np.subtract(2.0, bits.view(np.float64), out=out)
 
 
 def sign_by_words(x: np.ndarray, words: np.ndarray, out=None) -> np.ndarray:
     """x (nonnegative, contiguous) negated where the word's low bit is
-    set, in place or written to out, which may be the words themselves: a
-    bit word_uniforms does not read, so sign and magnitude are
-    independent."""
+    set, in place or written to out, apart from x, which may be the words
+    themselves (then with no temporary): a bit word_uniforms does not
+    read, so sign and magnitude are independent."""
     out = x if out is None else out
-    np.bitwise_or(x.view(np.uint64), words << np.uint64(63),
-                  out=out.view(np.uint64))
+    sign = np.left_shift(words, np.uint64(63),
+                         out=None if out is x else out.view(np.uint64))
+    np.bitwise_or(x.view(np.uint64), sign, out=out.view(np.uint64))
     return out
 
 
 def rotate_by_words(x: np.ndarray, words: np.ndarray):
-    """x cos(2 pi q) and x sin(2 pi q), q = word_uniforms(words), for x
+    """x cos(2 pi q) and x sin(2 pi q), q the phase of each word r, for x
     (float64) and the words contiguous and of one shape: the first
     written over the words, the second over x, both returned.
 
