@@ -140,7 +140,7 @@ def cmd_entropy(cfg: RunConfig, out: Path) -> int:
     integral = entropy_integral(field_entropy_model(field), params.beta,
                                 params.gamma)
     u_grid = _u_grid(cfg, params)
-    net = [finite_net_union_bound(field, params, float(u)) for u in u_grid]
+    net = finite_net_union_bound(field, params, u_grid).tolist()
     delta = cfg.raw["confidence"]["delta"]
     _write_stamped(cfg, out / "entropy.json",
                    {"condition_satisfied": ok,

@@ -72,25 +72,24 @@ class MdtParams:
         return _InverseTable(self)
 
 
-def _log_tail_y(params: MdtParams, y, slope: bool = False, work=None):
+def _log_tail_y(params: MdtParams, y, slope: bool = False, work=(None, None)):
     """ln of the tail formula at y = ln u >= 1, or with slope the pair
-    (ln tail, d/dy ln tail).  Unvalidated (callers check y).  Each step is
-    a ufunc written to work, laid out as sv_log's, when given, so nothing
-    block-sized is allocated; else to a new result."""
-    if work is None:
-        work = (None,) * 4
-    s = work[2] if slope else work[1]
+    (ln tail, d/dy ln tail).  Unvalidated (callers check y).  On the
+    value path each step is a ufunc written to work, two arrays laid out
+    as sv_log's, when given, so nothing block-sized is allocated;
+    otherwise each step makes a new result."""
+    val, s = (None, None) if slope else work
     lv = sv_log(params.v, y, deriv=slope, work=work)
     out = np.subtract(lv[0] if slope else lv,
-                      np.multiply(y, params.beta, out=s), out=work[0])
+                      np.multiply(y, params.beta, out=s), out=val)
     if params.gamma:
         out = np.add(out, np.multiply(np.log(y, out=s), params.gamma, out=s),
-                     out=work[0])
+                     out=val)
     if not slope:
         return out
-    d = np.subtract(lv[1], params.beta, out=work[1])
+    d = np.subtract(lv[1], params.beta)
     if params.gamma:
-        d = np.add(d, np.divide(params.gamma, y, out=s), out=work[1])
+        d = np.add(d, np.divide(params.gamma, y))
     return out, d
 
 
@@ -100,7 +99,7 @@ def make_mdt(beta: float, gamma: float, v: SlowlyVarying = ONE,
 
     The default u_star is the smallest u >= e at which the tail formula is
     <= 1 and nonincreasing from there on, located by a sign scan of the
-    log-tail slope on a geometric grid, then narrowed on linear grids.
+    log-tail slope on a geometric grid, then narrowed by _first_true.
     """
     probe = MdtParams(beta, gamma, v, _E)
     if u_star is None:
@@ -128,27 +127,20 @@ def _default_y_star(probe: MdtParams) -> float:
     if not ok(hi):
         raise NumericError("tail formula never drops below 1",
                            {"law": law, "y": hi})
-    # one vectorized call a step keeps the first of 64 cells where ok turns
-    # true; while hi / lo > 1 + 1e-15 some points lie strictly inside
-    while hi / lo > 1 + 1e-15:
+    return _first_true(ok, lo, hi, 1e-15)
+
+
+def _first_true(ok, lo: float, hi: float, rel: float) -> float:
+    """The point where a monotone test turns true, in a bracket
+    0 < lo <= hi with ok(lo) false and ok(hi) true: the package's one
+    threshold search.  ok maps an array of points to a boolean array.
+    One vectorized call a step keeps the first of 64 equal cells where ok
+    holds, until hi / lo <= 1 + rel or no double lies strictly inside, so
+    any rel >= 0 ends.  Returns hi, the side where ok holds."""
+    while hi / lo > 1 + rel and math.nextafter(lo, hi) < hi:
         grid = np.linspace(lo, hi, 65)
         k = 1 + int(np.argmax(np.append(ok(grid[1:-1]), True)))
         lo, hi = float(grid[k - 1]), float(grid[k])
-    return hi
-
-
-def _bisect(ok, lo: float, hi: float, rel: float) -> float:
-    """Geometric bisection of a bracket 0 < lo <= hi with ok(lo) false
-    and ok(hi) true, until hi / lo <= 1 + rel or the midpoint is an end.
-    Returns hi, the side where ok holds."""
-    while hi / lo > 1 + rel:
-        mid = math.sqrt(lo * hi)
-        if mid in (lo, hi):
-            break
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
     return hi
 
 

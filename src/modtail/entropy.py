@@ -23,7 +23,7 @@ from typing import Tuple
 import numpy as np
 
 from .bounds import closed_u_min, q_bound_closed
-from .distribution import MdtParams, _bisect
+from .distribution import MdtParams, _first_true
 from .errors import DomainError, NumericError
 from .fenchel import GeneratingFunction, gls_norm_from_moments
 from .moments import MomentCurve, default_p_grid
@@ -181,8 +181,9 @@ def field_entropy_model(model: FieldModel) -> MetricEntropyModel:
                               c10=k * model.lip_sum / 2.0 + diameter)
 
 
-def finite_net_union_bound(model: FieldModel, params: MdtParams, u: float) -> float:
-    """Bound for the supremum via an M-point grid union bound.
+def finite_net_union_bound(model: FieldModel, params: MdtParams, u):
+    """Bound for the supremum via an M-point grid union bound, at a float
+    u or elementwise on an array of u (a float for a float).
 
     P(sup > u) <= P(grid max > u/2) + P(Lipschitz excess > u/2), each a
     union over the J components of q_bound_closed with c1_pessimistic.
@@ -193,21 +194,23 @@ def finite_net_union_bound(model: FieldModel, params: MdtParams, u: float) -> fl
     the component's Lipschitz constant.  params must be model.params.
     """
     model.check_law(params)
-    if u <= 0:
+    u_arr = np.asarray(u, dtype=float)
+    if not np.all(u_arr > 0):
         raise DomainError("u must be positive")
     m, j_count = model.resolution, model.n_components
     mesh = 1.0 / m
-
-    def component_bound(threshold: float) -> float:
-        # P(|normalized sum| > threshold) <= Q_closed(threshold); clamp to 1
-        # below the closed-form domain
-        if threshold < closed_u_min(params):
-            return 1.0
-        return float(q_bound_closed(params, threshold))
-
-    point_term = m * j_count * component_bound(u / (2.0 * model.amp_sum))
-    lip_term = j_count * component_bound(u / (2.0 * mesh * model.lip_sum))
-    return float(min(1.0, point_term + lip_term))
+    # the point and Lipschitz terms' thresholds, in the last axis
+    threshold = np.divide.outer(u_arr, [2.0 * model.amp_sum,
+                                        2.0 * mesh * model.lip_sum])
+    # P(|normalized sum| > threshold) <= Q_closed(threshold); 1 below the
+    # closed-form domain
+    u_min = closed_u_min(params)
+    inside = threshold >= u_min
+    component = np.where(inside, q_bound_closed(
+        params, np.where(inside, threshold, u_min)), 1.0)
+    out = np.minimum(1.0, m * j_count * component[..., 0]
+                     + j_count * component[..., 1])
+    return float(out) if out.ndim == 0 else out
 
 
 def net_bound_level(model: FieldModel, params: MdtParams, delta: float) -> float:
@@ -215,8 +218,8 @@ def net_bound_level(model: FieldModel, params: MdtParams, delta: float) -> float
     to relative precision 1e-9; NumericError if u = 1e300 is not enough,
     and DomainError, from the first bound, if params is not model.params.
 
-    The bound is nonincreasing in u: u doubles from u_star until the
-    bound drops to delta, and geometric bisection narrows the bracket.
+    The bound is nonincreasing in u: _first_true searches
+    [u_star, 1e300] in t = ln u to 1e-12 relative, at most 1e-9 in u.
     """
     if not (0 < delta <= 1):
         raise DomainError("delta must lie in (0, 1]")
@@ -224,10 +227,11 @@ def net_bound_level(model: FieldModel, params: MdtParams, delta: float) -> float
     def ok(u):
         return finite_net_union_bound(model, params, u) <= delta
 
-    lo = hi = params.u_star
-    while not ok(hi):
-        lo, hi = hi, 2.0 * hi
-        if hi > 1e300:
-            raise NumericError("net bound never drops to delta",
-                               {"law": params.describe(), "delta": delta})
-    return _bisect(ok, lo, hi, 1e-9)
+    if ok(params.u_star):
+        return params.u_star
+    if not ok(1e300):
+        raise NumericError("net bound never drops to delta",
+                           {"law": params.describe(), "delta": delta})
+    return math.exp(_first_true(lambda t: ok(np.exp(t)),
+                                math.log(params.u_star), math.log(1e300),
+                                1e-12))

@@ -49,7 +49,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .bounds import TailCurve, _constant, closed_u_min, q_bound_closed
-from .distribution import _BLOCK, MdtParams, _bisect, quantile
+from .distribution import _BLOCK, MdtParams, _first_true, quantile
 from .entropy import FieldModel
 from .errors import DomainError, NumericError, in_domain
 from ._version import __version__ as _version
@@ -207,16 +207,14 @@ def word_uniforms(words: np.ndarray, out=None) -> np.ndarray:
     return np.subtract(2.0, bits.view(np.float64), out=out)
 
 
-def sign_by_words(x: np.ndarray, words: np.ndarray, out=None) -> np.ndarray:
-    """x (nonnegative, contiguous) negated where the word's low bit is
-    set, in place or written to out, apart from x, which may be the words
-    themselves (then with no temporary): a bit word_uniforms does not
-    read, so sign and magnitude are independent."""
-    out = x if out is None else out
-    sign = np.left_shift(words, np.uint64(63),
-                         out=None if out is x else out.view(np.uint64))
-    np.bitwise_or(x.view(np.uint64), sign, out=out.view(np.uint64))
-    return out
+def sign_by_words(x: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """x (nonnegative float64, shaped like the words) negated where the
+    word's low bit is set, written over the words and returned as their
+    float64 view: a bit word_uniforms does not read, so sign and
+    magnitude are independent."""
+    sign = np.left_shift(words, np.uint64(63), out=words)
+    np.bitwise_or(x.view(np.uint64), sign, out=words)
+    return words.view(np.float64)
 
 
 def rotate_by_words(x: np.ndarray, words: np.ndarray):
@@ -388,8 +386,7 @@ def _draws(params: MdtParams, words: np.ndarray) -> np.ndarray:
     q = np.empty(min(_BLOCK, flat.size))
     for i in range(0, flat.size, _BLOCK):
         w = flat[i:i + _BLOCK]
-        sign_by_words(quantile(params, word_uniforms(w, out=q[:w.size])), w,
-                      out=w.view(np.float64))
+        sign_by_words(quantile(params, word_uniforms(w, out=q[:w.size])), w)
     return flat.view(np.float64).reshape(words.shape)
 
 
@@ -582,9 +579,11 @@ def confidence_radius(params: MdtParams, n: int, delta: float,
 
     The sample mean a_n of n evaluations deviates from its target by
     S_n / sqrt(n), so P(|a_n - a| > u) <= Q(sqrt(n) u) and the returned
-    radius certifies coverage 1 - delta.  The search spans eight decades
-    of sqrt(n) u from the closed-form domain; past them the radius is not
-    attained.
+    radius certifies coverage 1 - delta.  v = sqrt(n) u is searched on
+    [v_min, v_min 1e8], from the closed-form domain's left end, by
+    _first_true in t = ln v to 1e-12 relative (at most 1e-9 in v while
+    t < 1000); the radius is not attained when the bound at the right
+    end still exceeds delta.
     """
     if n < 1:
         raise DomainError("sample size must be >= 1")
@@ -593,19 +592,16 @@ def confidence_radius(params: MdtParams, n: int, delta: float,
     c_val = _constant(params, c)
     v_min = max(closed_u_min(params), params.u_star)
     sqn = math.sqrt(n)
-    v_grid = np.geomspace(v_min, v_min * 1e8, 4096)
-    bounds = q_bound_closed(params, v_grid, c=c_val)
-    ok = bounds <= delta
-    rng = (v_min / sqn, float(v_grid[-1] / sqn))
-    if not ok.any():
+    v_max = v_min * 1e8
+    rng = (v_min / sqn, v_max / sqn)
+    if q_bound_closed(params, v_max, c=c_val) > delta:
         return ConfidenceRadius(radius=math.nan, delta=delta, n=n,
                                 attained=False, constant=c_val, search_range=rng)
-    i = int(np.argmax(ok))
-    if i == 0:
-        return ConfidenceRadius(radius=v_min / sqn, delta=delta, n=n,
-                                attained=True, constant=c_val, search_range=rng)
-    v = _bisect(lambda v: q_bound_closed(params, v, c=c_val) <= delta,
-                float(v_grid[i - 1]), float(v_grid[i]), 1e-9)
+    v = v_min
+    if q_bound_closed(params, v_min, c=c_val) > delta:
+        v = math.exp(_first_true(
+            lambda t: q_bound_closed(params, np.exp(t), c=c_val) <= delta,
+            math.log(v_min), math.log(v_max), 1e-12))
     return ConfidenceRadius(radius=v / sqn, delta=delta, n=n, attained=True,
                             constant=c_val, search_range=rng)
 

@@ -66,39 +66,32 @@ def sv_eval(v: SlowlyVarying, y):
     return float(out) if out.ndim == 0 else out
 
 
-def sv_log(v: SlowlyVarying, y, deriv: bool = False, work=None):
+def sv_log(v: SlowlyVarying, y, deriv: bool = False, work=(None, None)):
     """ln V(y) for y >= 0, or with deriv the pair (ln V, d/dy ln V).
 
-    ln V takes no pow, and the derivative shares L1 and L2.  work, when
-    given, holds arrays shaped like y and apart from it: ln V goes to
-    work[0], and with deriv the derivative to work[1] and work[2:4] are
-    scratch; without it work[1] is scratch.  Otherwise each step makes a
-    new result.  A constant V gives Python floats either way.
+    ln V takes no pow, and the derivative shares L1 and L2.  work, on
+    the value path, holds two arrays shaped like y and apart from it:
+    ln V goes to work[0] and work[1] is scratch.  Otherwise each step
+    makes a new result.  A constant V gives Python floats either way.
     """
     ln_c, a, b = v.ln_c, v.a, v.b
     if not (a or b):
         return (ln_c, 0.0) if deriv else ln_c
-    if work is None:
-        work = (None,) * 4
-    val, der, s1, s2 = work[:4] if deriv else (work[0], None, work[1], None)
-    l1 = np.log1p(y, out=der if deriv else val)
+    val, s = (None, None) if deriv else work
+    l1 = np.log1p(y, out=val)
     l2 = np.log1p(l1, out=val)
     if b:
-        lb = np.multiply(np.log1p(l2, out=s1), b, out=s1)
+        lb = np.multiply(np.log1p(l2, out=s), b, out=s)
     if deriv:
         # d/dy ln(1+L1) = 1/((1+L1)(1+y)), and d/dy ln(1+L2) is that over 1+L2
-        num = np.add(np.divide(b, np.add(l2, 1.0, out=s2), out=s2), a,
-                     out=s2) if b else a
+        num = np.add(np.divide(b, np.add(l2, 1.0)), a) if b else a
+        den = np.multiply(np.add(l1, 1.0), np.add(y, 1.0))
     out = np.multiply(l2, a, out=val)
     if b:
         out = np.add(out, lb, out=val)
     if ln_c:
         out = np.add(out, ln_c, out=val)
-    if not deriv:
-        return out
-    den = np.multiply(np.add(l1, 1.0, out=der), np.add(y, 1.0, out=s1),
-                      out=der)
-    return out, np.divide(num, den, out=der)
+    return (out, np.divide(num, den)) if deriv else out
 
 
 def limit_at_infinity_is_zero(v: SlowlyVarying) -> bool:
@@ -148,6 +141,13 @@ def format_sv(v: SlowlyVarying) -> str:
     """The canonical string c(x)*lp(a)*ilp(b), unit factors left out, c(1)
     for V = 1.  parse_sv reads a and b back exactly, and ln c to within
     the rounding of exp and log."""
-    parts = [f"c({format_num(math.exp(v.ln_c))})"] if v.ln_c else []
+    parts = []
+    if v.ln_c:
+        try:
+            parts.append(f"c({format_num(math.exp(v.ln_c))})")
+        except OverflowError:
+            # c beyond the largest double: written by its log, a form
+            # parse_sv does not read
+            parts.append(f"c(exp({format_num(v.ln_c)}))")
     parts += [f"{name}({format_num(x)})" for name, x in (("lp", v.a), ("ilp", v.b)) if x]
     return "*".join(parts) or "c(1)"

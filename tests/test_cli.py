@@ -389,6 +389,21 @@ def test_bounds_mode_must_be_known(tmp_path, capsys):
     assert "bogus" in err and "pessimistic, calibrated" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("law:\n  beta: true\n", "config key 'law.beta' has wrong type bool"),
+    ("- 1\n- 2\n", "section '<root>' must be a mapping"),
+    ("bogus: {}\n", "unknown config key 'bogus'"),
+    ("law: 3\n", "section 'law' must be a mapping"),
+    ("law: [1, 2\n", "cannot parse config"),
+])
+def test_malformed_config_files_are_config_errors(tmp_path, capsys, text,
+                                                  message):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    assert run(["bound", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+
+
 SMALL_PLAN = {"plan": {"n_grid": [1, 2, 4], "reps": 1000, "u_points": 8,
                        "u_max": 40.0}}
 

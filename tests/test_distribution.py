@@ -15,7 +15,7 @@ from modtail.harness import (STREAM_BLOCK, dkw_halfwidth, rotate_by_words,
                              sample, sign_by_words, stream_words,
                              word_uniforms)
 from modtail.slowvary import (Constant, IterLogPower, LogPower, Product,
-                              parse_sv)
+                              SlowlyVarying, parse_sv)
 
 SMALLEST_Q = 5e-324
 
@@ -44,6 +44,14 @@ def test_params_validation():
         MdtParams(beta=2.0, gamma=0.0)
     with pytest.raises(DomainError):
         MdtParams(beta=3.0, gamma=0.0, u_star=1.0)
+    with pytest.raises(DomainError, match="gamma"):
+        MdtParams(beta=3.0, gamma=math.nan)
+
+
+def test_survival_domain():
+    for u in (-1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            survival(CANONICAL, u)
 
 
 def test_survival_values():
@@ -96,16 +104,41 @@ def test_activation_error_names_the_law():
     assert "2.718" not in info.value.diagnostics["law"]
 
 
+def test_activation_beyond_the_search_names_the_law():
+    # ln V = 4e6 keeps the formula above 1 until y = 4e6 / 3, past the
+    # search's right end y = 1e6
+    with pytest.raises(NumericError, match="never drops below 1") as info:
+        make_mdt(3.0, 0.0, SlowlyVarying(ln_c=4e6))
+    assert info.value.diagnostics["law"].startswith(
+        "beta=3 gamma=0 V=c(exp(4e+06)) ")
+
+
+def test_inverse_table_errors_name_the_law(monkeypatch):
+    # no law in the grammar reaches these: a table wider than the
+    # formula's range, and a Newton loop given no steps
+    monkeypatch.setattr(distribution, "_TABLE_G_MAX", 1e7)
+    with pytest.raises(NumericError, match="too flat") as info:
+        quantile(make_mdt(3.0, 2.0), 0.5)
+    assert info.value.diagnostics["law"].startswith("beta=3 gamma=2 ")
+    monkeypatch.undo()
+    monkeypatch.setattr(distribution, "_NEWTON_STEPS", 0)
+    with pytest.raises(NumericError, match="failed to converge") as info:
+        quantile(make_mdt(3.0, 2.0), 0.5)
+    assert info.value.diagnostics["law"].startswith("beta=3 gamma=2 ")
+
+
 def test_bisect():
-    # the first y with y**2 >= 2, returned from the side where ok holds
-    hi = distribution._bisect(lambda y: y * y >= 2.0, 1.0, 2.0, 1e-12)
+    # the threshold search, _first_true: the first y with y**2 >= 2,
+    # returned from the side where ok holds
+    hi = distribution._first_true(lambda y: y * y >= 2.0, 1.0, 2.0, 1e-12)
     assert hi * hi >= 2.0
     assert hi == pytest.approx(math.sqrt(2.0), rel=1e-12)
     # a bracket already narrow enough comes back as it is
-    assert distribution._bisect(lambda y: True, 3.0, 3.0, 1e-9) == 3.0
-    # rel = 0 cannot be met: the loop stops once the midpoint is an end,
-    # at the smallest double where ok holds
-    assert distribution._bisect(lambda y: y >= math.pi, 3.0, 4.0, 0.0) == math.pi
+    assert distribution._first_true(lambda y: y >= 3.0, 3.0, 3.0, 1e-9) == 3.0
+    # rel = 0 cannot be met: the loop stops once no double lies strictly
+    # inside, at the smallest double where ok holds
+    assert distribution._first_true(lambda y: y >= math.pi, 3.0, 4.0,
+                                    0.0) == math.pi
 
 
 def test_describe_prints_numbers_that_read_back():
@@ -190,6 +223,21 @@ def test_quantile_property_over_grammar(beta, gamma, v):
     assert np.array_equal(table.start(table.g)[1], table.y)
 
 
+def _bisect(ok, lo: float, hi: float, rel: float) -> float:
+    """Geometric bisection of a bracket 0 < lo <= hi with ok(lo) false
+    and ok(hi) true, until hi / lo <= 1 + rel or the midpoint is an end.
+    Returns hi, the side where ok holds."""
+    while hi / lo > 1 + rel:
+        mid = math.sqrt(lo * hi)
+        if mid in (lo, hi):
+            break
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def _y_star_by_bisection(probe):
     """The activation search one scalar bisection step at a time: the
     reference for make_mdt's grid narrowing."""
@@ -198,14 +246,14 @@ def _y_star_by_bisection(probe):
     pos = np.flatnonzero(log_tail(probe, ys, slope=True)[1] > 0)
     y0 = 1.0
     if pos.size:
-        y0 = distribution._bisect(lambda y: log_tail(probe, y, slope=True)[1] <= 0,
-                                  float(ys[pos[-1]]), float(ys[pos[-1] + 1]), 1e-15)
+        y0 = _bisect(lambda y: log_tail(probe, y, slope=True)[1] <= 0,
+                     float(ys[pos[-1]]), float(ys[pos[-1] + 1]), 1e-15)
     if log_tail(probe, y0) <= 0:
         return y0
     y_hi = y0 + 1.0
     while log_tail(probe, y_hi) > 0:
         y_hi *= 2.0
-    return distribution._bisect(lambda y: log_tail(probe, y) <= 0, y0, y_hi, 1e-15)
+    return _bisect(lambda y: log_tail(probe, y) <= 0, y0, y_hi, 1e-15)
 
 
 @given(beta=st.floats(2.01, 8.0, exclude_min=True),
@@ -399,19 +447,16 @@ def test_golden_quantile(beta, gamma, v, falls_back, digest, monkeypatch):
        v=grammar_v, y_max=st.floats(1.0, 1e4))
 @settings(max_examples=150, deadline=None)
 def test_log_tail_into_a_workspace(beta, gamma, v, y_max):
-    # the log tail and its slope written into workspace rows equal the
-    # allocating call bit for bit, and land in the rows the layout names
+    # the log tail written into workspace rows equals the allocating call
+    # bit for bit, and lands in the row the layout names
     p = MdtParams(beta, gamma, v)
     y = np.geomspace(1.0, y_max, 97)
     value = distribution._log_tail_y(p, y)
     ref = distribution._log_tail_y(p, y, slope=True)
-    for rows in (2, 4):
-        work = np.full((rows, y.size), np.nan)
-        got = distribution._log_tail_y(p, y, slope=rows == 4, work=work)
-        got = got if rows == 4 else (got,)
-        for g, r, row in zip(got, ref if rows == 4 else (value,), work):
-            assert np.shares_memory(g, row)
-            assert g.tobytes() == np.broadcast_to(r, y.shape).tobytes()
+    work = np.full((2, y.size), np.nan)
+    got = distribution._log_tail_y(p, y, work=work)
+    assert np.shares_memory(got, work[0])
+    assert got.tobytes() == np.broadcast_to(value, y.shape).tobytes()
     assert value.tobytes() == ref[0].tobytes()
 
 
@@ -458,19 +503,18 @@ def test_word_decode():
     words = np.array([0, 1, 2 ** 12, 2 ** 64 - 1], dtype=np.uint64)
     q = word_uniforms(words)
     assert q.tolist() == [1.0, 1.0, 1.0 - 2.0 ** -52, 2.0 ** -52]
-    signed = sign_by_words(np.full(4, 2.5), words)
+    # the signed x is written over the words, x left as it was
+    x, w = np.full(4, 2.5), words.copy()
+    signed = sign_by_words(x, w)
     assert signed.tolist() == [2.5, -2.5, 2.5, -2.5]
-    # the same into a workspace, the input left as it was
-    x, out = np.full(4, 2.5), np.empty(4)
-    assert word_uniforms(words, out=out) is out and out.tolist() == q.tolist()
-    assert sign_by_words(x, words, out=out).tolist() == signed.tolist()
+    assert signed.dtype == np.float64 and np.shares_memory(signed, w)
     assert x.tolist() == [2.5] * 4
-    # and over the words themselves
-    w = words.copy()
-    assert sign_by_words(x, w, out=w.view(np.float64)).tolist() == signed.tolist()
+    # the uniforms into a workspace
+    out = np.empty(4)
+    assert word_uniforms(words, out=out) is out and out.tolist() == q.tolist()
     # on the stream, the sign is balanced and the magnitude is uniform
     words = stream_words(3, 0, 10 ** 5)
-    signs = sign_by_words(np.ones(words.size), words)
+    signs = sign_by_words(np.ones(words.size), words.copy())
     assert abs(signs.mean()) <= 4.0 / math.sqrt(words.size)
     q = np.sort(word_uniforms(words))
     ecdf = np.arange(1, q.size + 1) / q.size

@@ -9,7 +9,7 @@ from modtail.entropy import (FieldModel, MetricEntropyModel,
                              check_entropy_condition, entropy_integral,
                              field_entropy_model, finite_net_union_bound,
                              natural_distance_bound, net_bound_level)
-from modtail.errors import DomainError
+from modtail.errors import DomainError, NumericError
 from modtail.harness import make_plan, simulate_field
 from modtail.slowvary import parse_sv
 
@@ -39,6 +39,8 @@ def test_entropy_condition_boundary():
     assert not check_entropy_condition(d=5, alpha=1.0, beta=4.0, gamma=0.0)
     with pytest.raises(DomainError):
         check_entropy_condition(d=1, alpha=1.0, beta=4.0, gamma=-1.0)
+    with pytest.raises(DomainError, match="beta"):
+        check_entropy_condition(d=1, alpha=1.0, beta=2.0, gamma=0.0)
 
 
 def test_entropy_integral_closed_form():
@@ -67,6 +69,12 @@ def test_entropy_integral_rejects_beta_at_most_two(beta):
     model = MetricEntropyModel.from_holder(d=1, alpha=1.0)
     with pytest.raises(DomainError):
         entropy_integral(model, beta, 0.0)
+
+
+def test_entropy_integral_rejects_gamma_at_most_minus_one():
+    model = MetricEntropyModel.from_holder(d=1, alpha=1.0)
+    with pytest.raises(DomainError, match="gamma"):
+        entropy_integral(model, 4.0, -1.0)
 
 
 def test_condition_iff_finite_integral():
@@ -186,6 +194,40 @@ def test_union_bound_monotone_in_u():
     assert vals[-1] < 1e-6
 
 
+@pytest.mark.parametrize("beta,gamma,v", [(4.0, 0.0, "c(1)"),
+                                          (3.0, -1.0, "c(1)"),
+                                          (2.5, 0.5, "ilp(2)")])
+def test_union_bound_on_an_array_matches_scalar_calls(beta, gamma, v):
+    # the u-grid straddles every component's closed-form domain edge
+    params = make_mdt(beta, gamma, parse_sv(v))
+    model = FieldModel(params=params, weights=(1.0, 0.5, 0.25), resolution=64)
+    us = np.geomspace(1.0, 1e9, 61)
+    got = finite_net_union_bound(model, params, us)
+    ref = [finite_net_union_bound(model, params, float(u)) for u in us]
+    assert all(type(r) is float for r in ref)
+    np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0.0)
+    assert finite_net_union_bound(model, params, us.reshape(1, -1)).shape == (1, 61)
+
+
+def test_union_bound_and_level_domain():
+    params = CANONICAL_FIELD.params
+    for u in (0.0, -1.0, math.nan, np.array([1e4, 0.0])):
+        with pytest.raises(DomainError):
+            finite_net_union_bound(CANONICAL_FIELD, params, u)
+    for delta in (0.0, 1.5):
+        with pytest.raises(DomainError, match="delta"):
+            net_bound_level(CANONICAL_FIELD, params, delta)
+
+
+def test_level_beyond_the_search_names_the_law():
+    # a weight of 1e300 keeps every component threshold below e up to
+    # u = 1e300, so the bound stays at 1
+    model = FieldModel(params=make_mdt(4.0, 0.0), weights=(1e300,))
+    with pytest.raises(NumericError, match="never drops") as info:
+        net_bound_level(model, model.params, 1e-3)
+    assert info.value.diagnostics["law"] == model.params.describe()
+
+
 def test_union_bound_regime_b_below_closed_domain():
     # regime B's closed form starts at e**e, above the component
     # thresholds the first points of this u-grid lead to
@@ -229,6 +271,8 @@ def test_field_validation():
         FieldModel(params=make_mdt(4.0, 0.0), weights=(), resolution=4)
     with pytest.raises(DomainError):
         FieldModel(params=make_mdt(4.0, 0.0), weights=(1.0,), resolution=0)
+    with pytest.raises(DomainError, match="finite"):
+        FieldModel(params=make_mdt(4.0, 0.0), weights=(1.0, math.nan))
 
 
 def test_z_grids_nest_under_doubling():

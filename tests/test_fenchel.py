@@ -47,6 +47,9 @@ def test_tail_from_gls_domain_and_clamp():
     psi = GeneratingFunction.from_constant(1.0, b=3.0)
     with pytest.raises(DomainError):
         tail_from_gls(psi, 1.0, 2.0)
+    for norm in (0.0, math.nan):
+        with pytest.raises(DomainError, match="GLS norm"):
+            tail_from_gls(psi, norm, 10.0)
     val = tail_from_gls(psi, 1.0, E)
     assert 0.0 <= val <= 1.0
 
@@ -154,6 +157,17 @@ def test_norm_closed_form():
     res = gls_norm_from_moments(curve, psi)
     assert res.value == pytest.approx(2.0 * E, rel=1e-7)
     assert res.arg_p == pytest.approx(2.0)
+
+
+def test_norm_needs_a_grid_point_in_the_domain():
+    psi = GeneratingFunction.from_theta(make_mdt(4.0, 0.0))
+    empty = MomentCurve(np.array([]), np.array([]), np.array([]))
+    with pytest.raises(DomainError, match="empty"):
+        gls_norm_from_moments(empty, psi)
+    outside = MomentCurve(np.array([psi.p_max + 0.1]), np.array([1.0]),
+                          np.array([0.0]))
+    with pytest.raises(DomainError, match="domain"):
+        gls_norm_from_moments(outside, psi)
 
 
 def test_chebyshev_bound_dominates_survival():

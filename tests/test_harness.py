@@ -403,6 +403,11 @@ def test_confidence_radius_boundary():
     res = confidence_radius(PARAMS, n=1, delta=1e-300)
     assert not res.attained and math.isnan(res.radius)
     assert q_bound_closed(PARAMS, res.search_range[1], c=res.constant) > 1e-300
+    with pytest.raises(DomainError, match="sample size"):
+        confidence_radius(PARAMS, n=0, delta=1e-3)
+    for delta in (0.0, 1.5):
+        with pytest.raises(DomainError, match="delta"):
+            confidence_radius(PARAMS, n=100, delta=delta)
 
 
 def test_confidence_radius_scales_with_n():
@@ -420,13 +425,14 @@ def test_confidence_radius_certifies_bound_level():
                           c=res.constant) <= 1e-3 * (1 + 1e-6)
 
 
-# values of the bracket-and-bisect searches, pinned to the bit on laws of
-# all three regimes: a change to the searches must keep them
+# values of the threshold searches, pinned to the bit on laws of all
+# three regimes: a change to the searches must keep them
 @pytest.mark.parametrize("beta,gamma,v,radius_100,radius_1000,net_level", [
-    (4.0, 0.0, "c(1)", 18.859923267352393, 3.252264270338176, 2604.3263904342107),
-    (2.5, 0.5, "ilp(2)", 138.34000511323933, 15.62030535763551, 48130.36157634687),
-    (3.0, -1.0, "c(1)", 5046.69319143552, 732.9422458247591, 1040201.0644342952),
-    (3.0, -2.0, "lp(-1)", 30.805346071015418, 4.584918661621275, 6065.26139304702)])
+    (4.0, 0.0, "c(1)", 18.859923257668974, 3.25226427019515, 2604.326388814997),
+    (2.5, 0.5, "ilp(2)", 138.3400050876597, 15.620305355960248, 48130.36156738933),
+    (3.0, -1.0, "c(1)", 5046.6931906358095, 732.9422455559641, 1040201.0643132583),
+    (3.0, -2.0, "lp(-1)", 30.805346069044457, 4.584918660873719, 6065.261391979412)],
+    ids=["4-0-c(1)", "2.5-0.5-ilp(2)", "3--1-c(1)", "3--2-lp(-1)"])
 def test_level_searches_pinned(beta, gamma, v, radius_100, radius_1000, net_level):
     params = make_mdt(beta, gamma, parse_sv(v))
     assert confidence_radius(params, n=100, delta=1e-3).radius == radius_100

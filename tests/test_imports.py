@@ -67,6 +67,41 @@ def test_function_import_check_sees_them():
     assert function_imports(src) == [3, 5, 9]
 
 
+def numeric_errors_without_law(source: str):
+    """Lines of each raise NumericError(...) whose diagnostics are not a
+    dict literal with a "law" key: an error names the law it failed on."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                and isinstance(node.exc.func, ast.Name)
+                and node.exc.func.id == "NumericError"):
+            continue
+        diag = node.exc.args[1:2] or [kw.value for kw in node.exc.keywords
+                                       if kw.arg == "diagnostics"]
+        if not (diag and isinstance(diag[0], ast.Dict) and any(
+                isinstance(k, ast.Constant) and k.value == "law"
+                for k in diag[0].keys)):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_numeric_errors_name_the_law(path):
+    assert numeric_errors_without_law(path.read_text()) == []
+
+
+def test_numeric_error_check_sees_a_missing_law():
+    # a law key, positional or by keyword, passes; no diagnostics, other
+    # keys only or a dict that is not a literal does not
+    src = ("raise NumericError('a', {'law': d, 'y': 1})\n"
+           "raise NumericError('a', diagnostics={'law': d})\n"
+           "raise NumericError('a')\n"
+           "raise NumericError('a', {'y': 1})\n"
+           "raise NumericError('a', diag)\n"
+           "raise DomainError('a')\n")
+    assert numeric_errors_without_law(src) == [3, 4, 5]
+
+
 def file_writes(source: str):
     """Lines of the calls that write a file: savetxt, json.dump, and open
     with a mode that writes, appends or creates (a mode that is not a

@@ -80,6 +80,8 @@ def test_theta_plugins():
 def test_theta_domain():
     with pytest.raises(DomainError):
         theta(make_mdt(3.0, 0.0), 3.0)
+    with pytest.raises(DomainError, match="p >= 2"):
+        theta(make_mdt(3.0, 0.0), 1.5)
 
 
 def test_natural_psi_plugins():

@@ -68,6 +68,9 @@ def test_constant_must_be_positive():
         Constant(0.0)
     with pytest.raises(DomainError):
         Constant(-2.0)
+    for bad in ({"ln_c": math.inf}, {"a": math.nan}, {"b": -math.inf}):
+        with pytest.raises(DomainError, match="finite"):
+            SlowlyVarying(**bad)
 
 
 @given(random_factor(), st.floats(0.0, 1e12))
@@ -141,6 +144,8 @@ def test_parse_roundtrip():
     # short numbers keep their :g form; longer ones are printed in full
     assert format_sv(parse_sv("c(2)*ilp(0.5)")) == "c(2)*ilp(0.5)"
     assert format_sv(parse_sv("lp(0.1234567)")) == "lp(0.1234567)"
+    # a c beyond the largest double is printed by its log
+    assert format_sv(SlowlyVarying(ln_c=4e6, a=1.0)) == "c(exp(4e+06))*lp(1)"
     assert sv_eval(v, 0.0) == pytest.approx(1.0)
 
 
