@@ -1,7 +1,8 @@
 """Calibrate the closed-form constant and certify it on a fresh seed.
 
-The pessimistic constant from the Rosenthal moment chain is rigorous but
-loose.  This script fits a much smaller constant against a reference
+The pessimistic constant c1_pessimistic is loose, and it rests on the
+growth order of optimal Rosenthal constants, not on a proven constant.
+This script fits a much smaller constant against a reference
 simulation (plus a 2x DKW slack), then re-checks it on an independent
 seed: the certified bound must dominate the fresh empirical tail at
 every grid point, and the lower witness must stay below it.

@@ -16,7 +16,7 @@ from .fenchel import (FenchelCurve, GeneratingFunction, gls_norm_from_moments,
 from .bounds import (TailCurve, c1_pessimistic, calibrate_closed_constant,
                      closed_curve, closed_shape, fenchel_curve_bound,
                      lower_witness, q_bound_closed, q_bound_fenchel,
-                     rosenthal_constant, rosenthal_sum_moment, witness_curve)
+                     witness_curve)
 from .entropy import (FieldModel, MetricEntropyModel, check_entropy_condition,
                       entropy_integral, field_entropy_model,
                       finite_net_union_bound, natural_distance_bound)

@@ -4,9 +4,10 @@ Q(u) = sup_n P(|S_n| > u), S_n = n**(-1/2) * sum of n i.i.d. centered
 copies.  Two upper bounds are provided: the conjugate form
 exp(-tau*(ln u)) driven by the theta envelope, and closed forms per
 regime.  Both carry explicit constants; the theory fixes only the shape
-of the bounds, so every constant is either derived from the Rosenthal
-moment chain ("pessimistic" mode) or fitted to a reference simulation
-("calibrated" mode).
+of the bounds, so every constant is either computed from the moments
+("pessimistic" mode, c1_pessimistic, which rests on the growth order
+(2p / ln p)**p of optimal Rosenthal constants and so is not proven) or
+fitted to a reference simulation ("calibrated" mode).
 
 The closed forms for the gamma = -1 and gamma < -1 regimes include the
 u**(-beta) factor; without it they would not even decay in u, and the
@@ -25,58 +26,36 @@ import numpy as np
 from .distribution import MdtParams, survival
 from .errors import DomainError, in_domain
 from .fenchel import GeneratingFunction, fenchel
-from .moments import (DELTA_P, default_p_grid, moment_from_tail, theta,
+from .moments import (_envelope, default_p_grid, moment_from_tail, theta,
                       theta_regime)
-from .slowvary import limit_at_infinity_is_zero, sv_eval
+from .slowvary import limit_at_infinity_is_zero
 
 _E = math.e
 _EE = math.e ** math.e
 
-ROSENTHAL_C0 = 2.0
-
-
-def rosenthal_constant(p):
-    """(ROSENTHAL_C0 * p / ln(max(p, 2)))**p, the known growth order of
-    optimal Rosenthal constants.  Vectorized over p >= 2."""
-    p = np.asarray(p, dtype=float)
-    if np.any(p < 2):
-        raise DomainError("rosenthal_constant requires p >= 2")
-    out = (ROSENTHAL_C0 * p / np.log(np.maximum(p, 2.0))) ** p
-    return float(out) if out.ndim == 0 else out
-
-
-def rosenthal_sum_moment(params: MdtParams, p, moment2: float, momentp):
-    """Bound on sup_n E|S_n|**p from the variance and p-th moment terms.
-    Vectorized over p and momentp.
-
-    The n**(1 - p/2) factor of the raw inequality is <= 1 for p >= 2, so
-    the bound is n-free.
-    """
-    p = np.asarray(p, dtype=float)
-    if not np.all((2 <= p) & (p <= params.beta - DELTA_P)):
-        raise DomainError(f"p must lie in [2, beta - {DELTA_P}], got {p}")
-    if moment2 <= 0 or np.any(np.asarray(momentp) <= 0):
-        raise DomainError("moments must be positive")
-    out = rosenthal_constant(p) * np.maximum(moment2 ** (p / 2.0), momentp)
-    return float(out) if np.ndim(out) == 0 else out
-
 
 @lru_cache(maxsize=64)
 def c1_pessimistic(params: MdtParams) -> float:
-    """Analytic constant for sup_n E|S_n|**p <= C1 * theta(p).
+    """Constant for sup_n E|S_n|**p <= C1 * theta(p): the max over a
+    17-point p-grid of (2p / ln p)**p max(m2**(p/2), m_p) / theta(p),
+    with m_p = E|xi|**p.
 
-    Max over a p-grid of the Rosenthal bound divided by the floored
-    envelope; finite because p stays in the bounded interval [2, beta).
+    That is Rosenthal's inequality with the growth order (2p / ln p)**p of
+    its optimal constants in place of a constant, so C1 is not proven.
+    The raw inequality's n**(1 - p/2) factor is <= 1 for p >= 2, so C1 is
+    n-free, and it is finite because p stays in [2, beta).
     """
-    p_grid = default_p_grid(params, n=17)
-    env = rosenthal_sum_moment(params, p_grid, moment_from_tail(params, 2.0),
-                               moment_from_tail(params, p_grid))
-    return float(np.max(env / theta(params, p_grid)))
+    p = default_p_grid(params, n=17)
+    return float(np.max((2.0 * p / np.log(p)) ** p
+                        * np.maximum(moment_from_tail(params, 2.0) ** (p / 2.0),
+                                     moment_from_tail(params, p))
+                        / theta(params, p)))
 
 
 def _constant(params: MdtParams, c: Optional[float]) -> float:
-    """The bound constant: c, or the Rosenthal-chain constant when c is
-    None; DomainError unless it is finite and positive."""
+    """The bound constant: c, or c1_pessimistic when c is None, which rests
+    on the growth order of optimal Rosenthal constants and is not proven;
+    DomainError unless it is finite and positive."""
     val = c1_pessimistic(params) if c is None else float(c)
     if not 0 < val < math.inf:
         raise DomainError(f"bound constant must be finite and > 0, got {val!r}")
@@ -90,7 +69,8 @@ def closed_u_min(params: MdtParams) -> float:
 
 
 def closed_shape(params: MdtParams, u):
-    """The constant-free closed-form shape per regime (un-clamped)."""
+    """The constant-free closed-form shape u**(-beta) h(ln u), h the regime
+    factor of the moment envelope (un-clamped)."""
     u_arr = np.asarray(u, dtype=float)
     regime = theta_regime(params.gamma)
     u_min = closed_u_min(params)
@@ -98,21 +78,14 @@ def closed_shape(params: MdtParams, u):
         raise DomainError(f"closed-form bound requires u >= {u_min:g} in regime {regime}")
     if regime == "C" and not limit_at_infinity_is_zero(params.v):
         raise DomainError("regime gamma < -1 requires V vanishing at infinity")
-    y = np.log(np.maximum(u_arr, u_min))
-    base = u_arr ** (-params.beta) * sv_eval(params.v, y)
-    if regime == "A":
-        out = base * y ** (params.gamma + 1.0)
-    elif regime == "B":
-        out = base * np.log(y)
-    else:
-        out = base
+    out = u_arr ** (-params.beta) * _envelope(params, np.log(np.maximum(u_arr, u_min)))
     return float(out) if out.ndim == 0 else out
 
 
 def q_bound_closed(params: MdtParams, u, c: Optional[float] = None):
     """Closed-form upper bound on Q(u), clamped to [0, 1].
 
-    c defaults to the pessimistic Rosenthal-chain constant; pass a
+    c defaults to the pessimistic constant c1_pessimistic; pass a
     calibrated value to tighten.
     """
     out = np.clip(_constant(params, c) * closed_shape(params, u), 0.0, 1.0)

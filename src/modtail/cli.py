@@ -56,7 +56,7 @@ def _write_stamped(cfg: RunConfig, path: Path, payload) -> None:
 
 
 def _curves(cfg: RunConfig, params, c_calibrated=None):
-    # a given bounds.c1 wins; with neither, the Rosenthal chain supplies c
+    # a given bounds.c1 wins; with neither, c1_pessimistic supplies c
     given = cfg.raw["bounds"]["c1"]
     c = given if given is not None else c_calibrated
     mode = ("given" if given is not None else

@@ -2,12 +2,13 @@
 
 E|xi|**p is recovered from the survival function by one Gauss-Legendre
 rule (Golub & Welsch, Math. Comp. 1969) shared by every p of a grid.  The
-envelope theta(p) captures the blow-up of the p-th moment as p
-approaches beta; its regime depends on the sign of gamma + 1:
+envelope theta(p) = h(1/(beta - p)) captures the blow-up of the p-th
+moment as p approaches beta, and the closed-form shape of `bounds` is
+u**(-beta) h(ln u); the regime factor h depends on the sign of gamma + 1:
 
-    gamma > -1 : (beta - p)**(-gamma-1) * V(1/(beta-p))
-    gamma = -1 : |ln(beta - p)| * V(1/(beta-p))
-    gamma < -1 : V(1/(beta-p))
+    gamma > -1 : h(x) = x**(gamma+1) * V(x)
+    gamma = -1 : h(x) = |ln x| * V(x)
+    gamma < -1 : h(x) = V(x)
 
 theta is floored at THETA_MIN before roots and logs: the middle regime
 vanishes at beta - p = 1 although the true moment never does.
@@ -46,24 +47,23 @@ def theta_regime(gamma: float) -> str:
     return "C"
 
 
+def _envelope(params: MdtParams, x):
+    """The regime factor h(x) of the module docstring, vectorized over x > 0."""
+    regime = theta_regime(params.gamma)
+    factor = (x ** (params.gamma + 1.0) if regime == "A"
+              else np.abs(np.log(x)) if regime == "B" else 1.0)
+    return factor * sv_eval(params.v, x)
+
+
 def theta(params: MdtParams, p):
-    """The moment envelope in its regime, floored at THETA_MIN.  Vectorized
-    over p in [2, beta)."""
+    """The moment envelope h(1/(beta - p)), floored at THETA_MIN.
+    Vectorized over p in [2, beta)."""
     p_arr = np.asarray(p, dtype=float)
     if np.any(p_arr >= params.beta):
         raise DomainError(f"theta requires p < beta={params.beta}")
     if np.any(p_arr < 2):
         raise DomainError("theta requires p >= 2")
-    gap = params.beta - p_arr
-    vfac = sv_eval(params.v, 1.0 / gap)
-    regime = theta_regime(params.gamma)
-    if regime == "A":
-        out = gap ** (-params.gamma - 1.0) * vfac
-    elif regime == "B":
-        out = np.abs(np.log(gap)) * vfac
-    else:
-        out = vfac * np.ones_like(gap)
-    out = np.maximum(out, THETA_MIN)
+    out = np.maximum(_envelope(params, 1.0 / (params.beta - p_arr)), THETA_MIN)
     return float(out) if out.ndim == 0 else out
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,15 +104,16 @@ def limit_at_infinity_is_zero(v: SlowlyVarying) -> bool:
     return v.a < 0 or (v.a == 0 and v.b < 0)
 
 
-_TOKEN = re.compile(r"^(c|lp|ilp)\(([^)]+)\)$")
-_ATOMS = {"c": Constant, "lp": LogPower, "ilp": IterLogPower}
+_TOKEN = re.compile(r"^(?:(c|lp|ilp)\(([^()]+)\)|c\((exp)\(([^()]+)\)\))$")
+_ATOMS = {"c": Constant, "lp": LogPower, "ilp": IterLogPower,
+          "exp": lambda ln_c: SlowlyVarying(ln_c=ln_c)}
 
 
 def parse_sv(expr: str) -> SlowlyVarying:
     """Parse an expression like "c(1)*lp(2)*ilp(-1)" into its factor.
 
-    Factors: c(x) constant, lp(r) log power, ilp(r) iterated log power,
-    joined by '*'.
+    Factors: c(x) constant, c(exp(l)) the constant e**l, lp(r) log power,
+    ilp(r) iterated log power, joined by '*'.
     """
     expr = expr.strip()
     if not expr:
@@ -122,7 +124,7 @@ def parse_sv(expr: str) -> SlowlyVarying:
         m = _TOKEN.match(token)
         if m is None:
             raise DomainError(f"cannot parse slowly-varying factor {token!r}")
-        kind, raw = m.group(1), m.group(2)
+        kind, raw = m.group(1, 2) if m.group(1) else m.group(3, 4)
         try:
             val = float(raw)
         except ValueError as exc:
@@ -139,15 +141,16 @@ def format_num(x: float) -> str:
 
 def format_sv(v: SlowlyVarying) -> str:
     """The canonical string c(x)*lp(a)*ilp(b), unit factors left out, c(1)
-    for V = 1.  parse_sv reads a and b back exactly, and ln c to within
+    for V = 1, and c(exp(ln c)) for a c that is no normal double.  parse_sv
+    reads a, b and that form back exactly, and ln c from c(x) to within
     the rounding of exp and log."""
     parts = []
     if v.ln_c:
         try:
-            parts.append(f"c({format_num(math.exp(v.ln_c))})")
+            c = math.exp(v.ln_c)
         except OverflowError:
-            # c beyond the largest double: written by its log, a form
-            # parse_sv does not read
-            parts.append(f"c(exp({format_num(v.ln_c)}))")
+            c = math.inf
+        parts.append(f"c({format_num(c)})" if sys.float_info.min <= c < math.inf
+                     else f"c(exp({format_num(v.ln_c)}))")
     parts += [f"{name}({format_num(x)})" for name, x in (("lp", v.a), ("ilp", v.b)) if x]
     return "*".join(parts) or "c(1)"

@@ -8,7 +8,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy.optimize import minimize_scalar
 
 from modtail.bounds import (calibrate_closed_constant, closed_curve,

@@ -4,16 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from modtail.bounds import (c1_pessimistic,
-                            calibrate_closed_constant, closed_curve,
-                            closed_shape, fenchel_curve_bound, lower_witness,
-                            q_bound_closed, q_bound_fenchel,
-                            rosenthal_constant, rosenthal_sum_moment,
+from modtail.bounds import (c1_pessimistic, calibrate_closed_constant,
+                            closed_curve, closed_shape, fenchel_curve_bound,
+                            lower_witness, q_bound_closed, q_bound_fenchel,
                             witness_curve)
 from modtail.distribution import make_mdt, survival
 from modtail.errors import DomainError
 from modtail.fenchel import GeneratingFunction, tail_from_gls
-from modtail.moments import default_p_grid, moment_from_tail
+from modtail.moments import default_p_grid, moment_from_tail, theta
 from modtail.harness import (confidence_radius, default_u_grid, sample,
                              write_csv)
 from modtail.slowvary import ONE, LogPower, parse_sv
@@ -22,49 +20,23 @@ E = math.e
 EE = math.e ** math.e
 
 
-def test_rosenthal_constant_values():
-    assert rosenthal_constant(2.0) == pytest.approx((4.0 / math.log(2.0)) ** 2)
-    with pytest.raises(DomainError):
-        rosenthal_constant(1.5)
-
-
-def test_rosenthal_vectorized_over_p():
-    params = make_mdt(4.0, 0.5, LogPower(1.0))
-    p = np.array([2.0, 2.7, 3.5])
-    m = moment_from_tail(params, p)
-    env = rosenthal_sum_moment(params, p, m[0], m)
-    assert type(rosenthal_sum_moment(params, 2.7, m[0], m[1])) is float
-    assert type(rosenthal_constant(2.7)) is float
-    for i in range(p.size):
-        assert env[i] == rosenthal_sum_moment(params, p[i], m[0], m[i])
-        assert rosenthal_constant(p)[i] == rosenthal_constant(p[i])
-    with pytest.raises(DomainError):
-        rosenthal_constant(np.array([2.0, 1.5]))
-    with pytest.raises(DomainError):
-        rosenthal_sum_moment(params, np.array([2.0, 3.9999]), m[0], m[:2])
-    with pytest.raises(DomainError):
-        rosenthal_sum_moment(params, p, m[0], np.array([m[0], -1.0, m[2]]))
-
-
 def test_rosenthal_dominates_single_draw():
-    # at n = 1 the sum moment is the single moment, so the envelope must
-    # sit above it for every p
+    # at n = 1 the sum moment is the single moment, so the envelope
+    # C1 theta(p) must sit above it for every p
     params = make_mdt(4.0, 0.5, LogPower(1.0))
     p = default_p_grid(params, n=17)
-    singles = moment_from_tail(params, p)
-    env = rosenthal_sum_moment(params, p, moment_from_tail(params, 2.0), singles)
-    assert np.all(env >= singles)
+    env = c1_pessimistic(params) * theta(params, p)
+    assert np.all(env >= moment_from_tail(params, p))
 
 
 @pytest.mark.parametrize("law, bits", [
     ((4.0, 0.0, "c(1)"), "0x1.d79dfc9915d85p+17"),
     ((3.0, -1.0, "c(1)"), "0x1.92000fc75b36ap+35"),
     ((3.0, -2.0, "lp(-1)"), "0x1.4bea0e1b27d15p+16"),
-    ((2.5, 0.5, "ilp(2)"), "0x1.91d2efd3afcd6p+9"),
+    ((2.5, 0.5, "ilp(2)"), "0x1.91d2efd3afcd5p+9"),
 ], ids=lambda x: "{:g},{:g},{}".format(*x) if isinstance(x, tuple) else None)
 def test_c1_pessimistic_pinned(law, bits):
-    # recorded before the chain was reduced to one expression; any change
-    # in the order of its operations shows here
+    # any change in the order of the constant's operations shows here
     beta, gamma, v = law
     assert c1_pessimistic.__wrapped__(make_mdt(beta, gamma, parse_sv(v))) == \
         float.fromhex(bits)
@@ -85,11 +57,10 @@ def test_bound_constant_must_be_finite_positive(c):
 
 @pytest.mark.parametrize("n", [1, 4, 16, 64, 256])
 def test_rosenthal_envelope_monte_carlo(n):
-    # MC oracle for E|S_n|**3: the analytic envelope must dominate it
+    # MC oracle for E|S_n|**3: the analytic envelope C1 theta(3) must
+    # dominate it
     params = make_mdt(4.0, 0.0)
-    m2 = moment_from_tail(params, 2.0)
-    m3 = moment_from_tail(params, 3.0)
-    bound = rosenthal_sum_moment(params, 3.0, m2, m3)
+    bound = c1_pessimistic(params) * theta(params, 3.0)
     reps = 200000 // n + 1000
     x = sample(params, seed=300 + n, n=reps * n).reshape(reps, n)
     s3 = np.abs(x.sum(axis=1) / math.sqrt(n)) ** 3
@@ -152,6 +123,26 @@ def test_q_bound_fenchel_batch_matches_pointwise(law):
     batch = q_bound_fenchel(params, u)
     np.testing.assert_allclose(batch, [q_bound_fenchel(params, float(x)) for x in u],
                                rtol=1e-6)
+
+
+@pytest.mark.parametrize("law, want", [
+    ((4.0, 0.0, "c(1)"), [1.0, 1.0, 0.01466896019, 1.857140219e-05, 1.71810652e-08,
+                          1.437182153e-11, 1.142110267e-14, 8.792321843e-18]),
+    ((3.0, -1.0, "c(1)"), [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 5.395555153e-10]),
+    ((3.0, -2.0, "lp(-1)"), [1.0, 1.0, 1.0, 3.759991355e-05, 1.551242098e-07,
+                             6.399887181e-10, 2.640371608e-12, 1.089325801e-14]),
+    ((2.5, 0.5, "ilp(2)"), [1.0, 1.0, 0.4433059445, 0.008167681848, 0.0001525868736,
+                            2.384296093e-06, 3.396888128e-08, 4.571163911e-10]),
+], ids=["4,0,c(1)", "3,-1,c(1)", "3,-2,lp(-1)", "2.5,0.5,ilp(2)"])
+def test_q_bound_fenchel_pinned(law, want):
+    # the pessimistic conjugate curve as the C1**(1/p*) fold gives it; the
+    # argmax enters through that fold, hence 1e-6.  Replacing the fold by
+    # the exact form min(1, C1 exp(-nu*(ln u))) moves these values, and
+    # ROADMAP item 1 re-pins them when it does.
+    beta, gamma, v = law
+    params = make_mdt(beta, gamma, parse_sv(v))
+    np.testing.assert_allclose(q_bound_fenchel(params, np.geomspace(E, 1e6, 8)),
+                               want, rtol=1e-6)
 
 
 def test_fenchel_tracks_closed_form():

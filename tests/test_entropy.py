@@ -219,6 +219,12 @@ def test_union_bound_and_level_domain():
             net_bound_level(CANONICAL_FIELD, params, delta)
 
 
+def test_level_at_delta_one_is_u_star():
+    # the bound never exceeds 1, so delta = 1 is met at the left end
+    params = CANONICAL_FIELD.params
+    assert net_bound_level(CANONICAL_FIELD, params, 1.0) == params.u_star
+
+
 def test_level_beyond_the_search_names_the_law():
     # a weight of 1e300 keeps every component threshold below e up to
     # u = 1e300, so the bound stays at 1

@@ -7,6 +7,9 @@ import modtail
 
 MODULES = sorted(p for p in Path(modtail.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+# the test and demo scripts, checked for unused imports as well
+SCRIPTS = sorted(p for folder in ("tests", "demos")
+                 for p in (Path(__file__).parents[1] / folder).glob("*.py"))
 # the modules that write result files; every other one returns data
 WRITERS = {"harness.py", "cli.py"}
 
@@ -37,7 +40,7 @@ def function_imports(source: str):
                    if isinstance(node, (ast.Import, ast.ImportFrom))})
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

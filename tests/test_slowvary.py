@@ -144,18 +144,30 @@ def test_parse_roundtrip():
     # short numbers keep their :g form; longer ones are printed in full
     assert format_sv(parse_sv("c(2)*ilp(0.5)")) == "c(2)*ilp(0.5)"
     assert format_sv(parse_sv("lp(0.1234567)")) == "lp(0.1234567)"
-    # a c beyond the largest double is printed by its log
+    # a c that is no normal double is printed by its log, and read back
     assert format_sv(SlowlyVarying(ln_c=4e6, a=1.0)) == "c(exp(4e+06))*lp(1)"
+    for ln_c, text in ((-800.0, "c(exp(-800))"), (-745.0, "c(exp(-745))"),
+                       (800.0, "c(exp(800))"), (4e6, "c(exp(4e+06))")):
+        assert format_sv(SlowlyVarying(ln_c=ln_c)) == text
+        assert parse_sv(text) == SlowlyVarying(ln_c=ln_c)
     assert sv_eval(v, 0.0) == pytest.approx(1.0)
 
 
-@given(st.floats(-30.0, 30.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
+@given(st.floats(-1e6, 1e6), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
+@example(-745.0, 0.0, 0.0)
+@example(-708.5, 1.0, 0.0)
+@example(709.8, 0.0, 1.0)
 @settings(max_examples=300, deadline=None)
 def test_format_roundtrips(ln_c, a, b):
-    # a and b come back exactly; ln c to within the rounding of exp and log
-    back = parse_sv(format_sv(SlowlyVarying(ln_c, a, b)))
+    # a, b and an exp-form ln c come back exactly; a c(x) form's ln c to
+    # within the rounding of exp and log
+    text = format_sv(SlowlyVarying(ln_c, a, b))
+    back = parse_sv(text)
     assert (back.a, back.b) == (a, b)
-    assert abs(back.ln_c - ln_c) <= 4e-16 * max(1.0, abs(ln_c))
+    if "exp(" in text:
+        assert back.ln_c == ln_c
+    else:
+        assert abs(back.ln_c - ln_c) <= 4e-16 * max(1.0, abs(ln_c))
 
 
 def test_parse_rejects_garbage():
