@@ -25,7 +25,6 @@ from .errors import DomainError, in_domain
 from .moments import DELTA_P, MomentCurve, natural_psi
 
 _E = math.e
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,8 +36,8 @@ class GeneratingFunction:
     provenance: str = "custom-grid"
 
     def __post_init__(self):
-        if self.b <= 2:
-            raise DomainError(f"generating function needs b > 2, got b={self.b}")
+        if not (math.isfinite(self.b) and self.b > 2):
+            raise DomainError(f"generating function needs a finite b > 2, got b={self.b}")
 
     def __call__(self, p):
         return self.fn(np.asarray(p, dtype=float))
@@ -55,6 +54,8 @@ class GeneratingFunction:
 
     @classmethod
     def from_constant(cls, c: float, b: float) -> "GeneratingFunction":
+        if not (math.isfinite(c) and c > 0):
+            raise DomainError(f"generating function needs a finite c > 0, got c={c}")
         return cls(b=b, fn=lambda p: np.full_like(np.asarray(p, float), c),
                    provenance="custom-grid")
 
@@ -62,8 +63,12 @@ class GeneratingFunction:
     def from_grid(cls, p_grid: Sequence[float], values: Sequence[float],
                   b: float) -> "GeneratingFunction":
         """Log-linear interpolation through (p, psi) grid points."""
-        p_grid = np.asarray(p_grid, dtype=float)
-        logv = np.log(np.asarray(values, dtype=float))
+        p_grid, values = np.asarray(p_grid, float), np.asarray(values, float)
+        if not np.all(np.isfinite(values) & (values > 0)):
+            raise DomainError("grid values must be finite and > 0")
+        if not (np.all(np.isfinite(p_grid)) and np.all(np.diff(p_grid) > 0)):
+            raise DomainError("grid knots must be finite and strictly increasing")
+        logv = np.log(values)
 
         def fn(p):
             return np.exp(np.interp(p, p_grid, logv))
@@ -75,11 +80,11 @@ def _objective(psi: GeneratingFunction, p, y):
     return p * (y - np.log(psi(p)))
 
 
-def _refine_grid(psi: GeneratingFunction, n: int = 256) -> np.ndarray:
+def _refine_grid(psi: GeneratingFunction) -> np.ndarray:
     """Grid on [2, b - delta]: geometrically refined toward b, where the
     natural envelopes steepen, plus a uniform component so interpolated
     generating functions are resolved everywhere."""
-    gaps = np.geomspace(DELTA_P, psi.b - 2.0, n)
+    gaps = np.geomspace(DELTA_P, psi.b - 2.0, 256)
     geo = np.clip(psi.b - gaps, 2.0, psi.p_max)
     uni = np.linspace(2.0, psi.p_max, 64)
     return np.unique(np.concatenate([geo, uni]))
@@ -94,37 +99,36 @@ class FenchelPoint:
     argmax: Union[float, np.ndarray]
 
 
-def _refine_brackets(psi: GeneratingFunction, y: np.ndarray, a: np.ndarray,
-                     b: np.ndarray) -> np.ndarray:
-    """Golden-section maxima of the objective on the brackets [a, b], all
-    at once; a bracket narrower than 1e-10 is frozen while the others
-    shrink."""
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    gc, gd = _objective(psi, c, y), _objective(psi, d, y)
-    live = b - a > 1e-10
-    while live.any():
-        left = gc >= gd          # the maximum lies in [a, d]
-        a, b = np.where(live & ~left, c, a), np.where(live & left, d, b)
-        c, d = (np.where(left, b - _INVPHI * (b - a), d),
-                np.where(left, c, a + _INVPHI * (b - a)))
-        g_new = _objective(psi, np.where(left, c, d), y)
-        gc, gd = np.where(left, g_new, gd), np.where(left, gc, g_new)
-        live = b - a > 1e-10
-    return 0.5 * (a + b)
+def _refine_brackets(psi: GeneratingFunction, y, a, b, p, g):
+    """fenchel's narrowing of the brackets [a, b], each from its point p
+    of value g, all updated in place: the best point seen, and its value."""
+    live = np.flatnonzero(b - a > 1e-10)
+    while live.size:
+        # np.linspace(a, b, 9, axis=1) without its per-call overhead
+        pts = a[live, None] + np.arange(9.0) * ((b[live] - a[live]) / 8)[:, None]
+        pts[:, -1] = b[live]
+        val = _objective(psi, pts, y[live, None])
+        rows, k = np.arange(live.size), np.argmax(val, axis=1)
+        up = val[rows, k] > g[live]
+        p[live[up]], g[live[up]] = pts[rows, k][up], val[rows, k][up]
+        a[live] = pts[rows, np.maximum(k - 1, 0)]
+        b[live] = pts[rows, np.minimum(k + 1, 8)]
+        live = live[b[live] - a[live] > 1e-10]
+    return p, g
 
 
 def fenchel(psi: GeneratingFunction, y) -> FenchelPoint:
     """sup_p [p y - p ln psi(p)] over [2, b - delta], for a scalar y or an
     array of y.
 
-    One grid scan of every y, followed by golden-section refinement (1e-10
-    in p) of the bracket around every grid local maximum of every y (both
-    ends included, and so the grid argmax), all brackets together;
-    interpolated generating functions can make the objective multimodal,
-    so refining only the best cell is not enough.  A refined point
-    replaces the grid best only when its value is larger.  A scalar y
-    gives a FenchelPoint of floats, an array y one of arrays of its shape.
+    One grid scan of every y, then every grid local maximum of every y
+    (both ends included) is refined, all together: each step evaluates 9
+    equal points of its two-cell bracket and keeps the two cells around
+    the best, until that bracket alone is narrower than 1e-10 in p.
+    Interpolated generating functions can make the objective multimodal,
+    so refining only the best cell is not enough.  Per y the best point
+    seen wins, the first candidate in p order on a tie.  A scalar y gives
+    a FenchelPoint of floats, an array y one of arrays of its shape.
     """
     y_arr = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y_arr)):
@@ -132,24 +136,17 @@ def fenchel(psi: GeneratingFunction, y) -> FenchelPoint:
     ys = y_arr.reshape(-1)
     ps = _refine_grid(psi)
     vals = _objective(psi, ps, ys[:, None])
-    rows = np.arange(ys.size)
-    best = np.argmax(vals, axis=1)
-    best_val, best_arg = vals[rows, best], ps[best]
     cand = np.zeros(vals.shape, dtype=bool)
     cand[:, 1:-1] = (vals[:, 1:-1] >= vals[:, :-2]) & (vals[:, 1:-1] >= vals[:, 2:])
     cand[:, [0, -1]] = True
     r, i = np.nonzero(cand)
-    p_opt = _refine_brackets(psi, ys[r], ps[np.maximum(i - 1, 0)],
-                             ps[np.minimum(i + 1, ps.size - 1)])
-    # per y, the first candidate (in p order) with the largest value
-    refined = np.full(vals.shape, -np.inf)
-    refined[r, i] = _objective(psi, p_opt, ys[r])
-    at = np.zeros(vals.shape)
-    at[r, i] = p_opt
-    j = np.argmax(refined, axis=1)
-    better = refined[rows, j] > best_val
-    best_val = np.where(better, refined[rows, j], best_val)
-    best_arg = np.where(better, at[rows, j], best_arg)
+    p_opt, g_opt = _refine_brackets(psi, ys[r], ps[np.maximum(i - 1, 0)],
+                                    ps[np.minimum(i + 1, ps.size - 1)],
+                                    ps[i], vals[r, i])
+    # per y (r is sorted), the best candidate; lexsort keeps p order on ties
+    order = np.lexsort((-g_opt, r))
+    first = order[np.searchsorted(r, np.arange(ys.size))]
+    best_val, best_arg = g_opt[first], p_opt[first]
     if y_arr.ndim == 0:
         return FenchelPoint(value=float(best_val[0]), argmax=float(best_arg[0]))
     return FenchelPoint(value=best_val.reshape(y_arr.shape),

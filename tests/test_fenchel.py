@@ -7,7 +7,8 @@ from scipy.optimize import minimize_scalar
 from modtail.distribution import make_mdt
 from modtail.errors import DomainError
 from modtail.fenchel import (FenchelCurve, GeneratingFunction, fenchel,
-                             gls_norm_from_moments, _refine_grid, tail_from_gls)
+                             gls_norm_from_moments, _objective, _refine_grid,
+                             tail_from_gls)
 from modtail.moments import DELTA_P, MomentCurve, default_p_grid
 
 E = math.e
@@ -88,7 +89,34 @@ def test_fenchel_batch_matches_pointwise(beta, gamma):
     assert batch.value.shape == batch.argmax.shape == ys.shape
     single = [fenchel(psi, float(y)) for y in ys]
     assert all(isinstance(pt.value, float) for pt in single)
-    np.testing.assert_allclose(batch.value, [pt.value for pt in single], rtol=1e-12)
+    # each bracket stops on its own width, so batching changes no bit
+    np.testing.assert_array_equal(batch.value, [pt.value for pt in single])
+    np.testing.assert_array_equal(batch.argmax, [pt.argmax for pt in single])
+
+
+def _random_psi(rng):
+    # criterion 2's three kinds: constant, analytic envelope, 8-knot grid
+    kind, b = rng.integers(0, 3), float(rng.uniform(2.5, 8.0))
+    if kind == 0:
+        return GeneratingFunction.from_constant(float(rng.uniform(0.5, 4.0)), b=b)
+    if kind == 1:
+        return GeneratingFunction.from_theta(
+            make_mdt(float(rng.uniform(2.5, 6.0)), float(rng.uniform(-0.9, 2.0))))
+    return GeneratingFunction.from_grid(np.linspace(2.0, b - 1e-3, 8),
+                                        np.exp(rng.uniform(-1.0, 2.0, size=8)), b=b)
+
+
+def test_fenchel_never_below_its_grid():
+    # the narrowing starts from the grid points, so the transform is at
+    # least the objective everywhere on the grid, at an argmax in range
+    rng = np.random.default_rng(34)
+    for _ in range(200):
+        psi = _random_psi(rng)
+        ys = rng.uniform(0.5, 25.0, size=4)
+        pt = fenchel(psi, ys)
+        grid_vals = _objective(psi, _refine_grid(psi), ys[:, None])
+        assert np.all(pt.value >= grid_vals.max(axis=1))
+        assert np.all((pt.argmax >= 2.0) & (pt.argmax <= psi.p_max))
 
 
 def test_fenchel_refines_every_local_maximum():
@@ -193,3 +221,25 @@ def test_grid_psi_interpolates():
 def test_bad_b_rejected():
     with pytest.raises(DomainError):
         GeneratingFunction.from_constant(1.0, b=2.0)
+
+
+@pytest.mark.parametrize("make,args", [
+    ("constant", (1.0, math.inf)),
+    ("constant", (1.0, math.nan)),
+    ("constant", (0.0, 5.0)),
+    ("constant", (-1.0, 5.0)),
+    ("constant", (math.nan, 5.0)),
+    ("grid", ([2.0, 3.0], [1.0, 0.0], 4.0)),
+    ("grid", ([2.0, 3.0], [-1.0, 2.0], 4.0)),
+    ("grid", ([2.0, 3.0], [1.0, math.nan], 4.0)),
+    ("grid", ([2.0, 3.0], [1.0, math.inf], 4.0)),
+    ("grid", ([4.0, 3.0, 2.0], [1.0, 2.0, 3.0], 5.0)),
+    ("grid", ([2.0, 2.0, 3.0], [1.0, 2.0, 3.0], 5.0)),
+    ("grid", ([2.0, math.nan], [1.0, 2.0], 5.0)),
+], ids=["b-inf", "b-nan", "c-zero", "c-negative", "c-nan", "value-zero",
+        "value-negative", "value-nan", "value-inf", "knots-decreasing",
+        "knots-repeated", "knot-nan"])
+def test_undefined_generating_function_rejected(make, args):
+    # each would give a zero, NaN or silently misread tail bound
+    with pytest.raises(DomainError):
+        getattr(GeneratingFunction, f"from_{make}")(*args)

@@ -1,4 +1,5 @@
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,9 @@ SCRIPTS = sorted(p for folder in ("tests", "demos")
                  for p in (Path(__file__).parents[1] / folder).glob("*.py"))
 # the modules that write result files; every other one returns data
 WRITERS = {"harness.py", "cli.py"}
+# the import roots of the runtime dependencies pyproject.toml declares
+# (numpy, pyyaml); scipy is a test oracle only
+RUNTIME_DEPS = {"numpy", "yaml"}
 
 
 def unused_imports(source: str):
@@ -68,6 +72,39 @@ def test_function_import_check_sees_them():
            "    return g\n"
            "class C:\n    def m(self):\n        import re\n")
     assert function_imports(src) == [3, 5, 9]
+
+
+def foreign_imports(source: str):
+    """(line, module) of each import that is not relative, not of the
+    standard library and not rooted at a runtime dependency."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name.split(".")[0] not in sys.stdlib_module_names | RUNTIME_DEPS]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(Path(modtail.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_only_declared_runtime_imports(path):
+    assert foreign_imports(path.read_text()) == []
+
+
+def test_runtime_import_check_sees_scipy():
+    # relative, standard-library, numpy and yaml imports pass
+    src = ("from __future__ import annotations\nimport math, json\n"
+           "import numpy as np\nfrom numpy.linalg import norm\nimport yaml\n"
+           "from .errors import DomainError\nfrom . import bounds\n"
+           "import scipy\nfrom scipy.optimize import brentq\n"
+           "import hypothesis.strategies as st\n")
+    assert foreign_imports(src) == [(8, "scipy"), (9, "scipy.optimize"),
+                                    (10, "hypothesis.strategies")]
 
 
 def numeric_errors_without_law(source: str):
