@@ -101,17 +101,20 @@ def cmd_certify(cfg: RunConfig, out: Path) -> int:
     bounds_cfg = cfg.raw["bounds"]
     c_override = bounds_cfg["c1"]
     plan = _plan(cfg, params)
-    if bounds_cfg["mode"] == "calibrated" and c_override is None:
+    if bounds_cfg["mode"] == "calibrated":  # the config rejects it beside c1
         # reference run with a shifted seed; the certification run below
         # stays fresh
         ref = simulate(_plan(cfg, params, seed=plan.seed + 1000003))
         slack = bounds_cfg["calibration_slack_dkw"] * ref.dkw
         c_override = calibrate_closed_constant(params, ref.u_grid, ref.qhat, slack)
     report = simulate(plan)
-    result = certify(report, _curves(cfg, params, c_calibrated=c_override))
+    curves = _curves(cfg, params, c_calibrated=c_override)
+    result = certify(report, curves)
     report.to_csv(out / "certification_report.csv", header_extra=_header(cfg))
+    # both upper curves use one resolved constant; the conjugate curve's
+    # constants name it c1 and say where it came from
     _write_stamped(cfg, out / "certification.json",
-                   {"plan": report.plan.echo(), "constants": {"c1": c_override},
+                   {"plan": report.plan.echo(), "constants": curves[1].constants,
                     **result.summary()})
     return EXIT_OK if result.passed else EXIT_CERT_FAIL
 
@@ -187,8 +190,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="YAML config file")
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
+        if name not in ("simulate", "certify"):
+            continue  # the other commands draw nothing
+        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--threads", type=int, default=None,
                        help="sampling lanes: the process itself and up to "
                             "N - 1 forked children, at most one per usable "
@@ -201,8 +206,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = RunConfig.load(args.config)
-        cfg = cfg.override(plan__seed=args.seed, plan__threads=args.threads,
-                           plan__budget=args.budget)
+        cfg = cfg.override(**{f"plan__{name}": getattr(args, name, None)
+                              for name in ("seed", "threads", "budget")})
         out = _outdir(cfg, args.out)
         return _COMMANDS[args.command](cfg, out)
     except ConfigError as exc:

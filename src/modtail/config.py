@@ -92,6 +92,16 @@ def _validate(tree) -> None:
             raise ConfigError(f"section '{section}' must be a mapping")
         for key, val in body.items():
             _check(f"{section}.{key}", val)
+    # keys that another bounds key makes dead are rejected, not ignored
+    bounds = tree.get("bounds", {})
+    calibrating = bounds.get("mode") == "calibrated"
+    if calibrating and bounds.get("c1") is not None:
+        raise ConfigError("config key 'bounds.mode': calibrated is ignored "
+                          "when bounds.c1 is given")
+    if "calibration_slack_dkw" in bounds and not (
+            calibrating and bounds.get("c1") is None):
+        raise ConfigError("config key 'bounds.calibration_slack_dkw' is read "
+                          "only with bounds.mode calibrated and no bounds.c1")
 
 
 def _fill(given: Dict) -> Dict:

@@ -121,22 +121,24 @@ def _default_y_star(probe: MdtParams) -> float:
     def ok(y):  # past the last rise, and the formula at most 1
         value, slope = _log_tail_y(probe, y, slope=True)
         return (slope <= 0) & (value <= 0)
-    lo, hi = (float(ys[pos[-1]]) if pos.size else 1.0), 1e6
+    y = _first_true(ok, float(ys[pos[-1]]) if pos.size else 1.0, 1e6, 1e-15)
+    if y is None:
+        raise NumericError("tail formula never drops below 1",
+                           {"law": law, "y": 1e6})
+    return y
+
+
+def _first_true(ok, lo: float, hi: float, rel: float) -> Optional[float]:
+    """The point where a monotone test turns true on 0 < lo <= hi: the
+    package's one threshold search.  ok maps a float, or an array of
+    points, to booleans.  Returns lo itself when ok(lo) holds, and else
+    None when ok(hi) fails; otherwise one vectorized call a step keeps the
+    first of 64 equal cells where ok holds, until hi / lo <= 1 + rel or no
+    double lies strictly inside, so any rel >= 0 ends, and returns hi."""
     if ok(lo):
         return lo
     if not ok(hi):
-        raise NumericError("tail formula never drops below 1",
-                           {"law": law, "y": hi})
-    return _first_true(ok, lo, hi, 1e-15)
-
-
-def _first_true(ok, lo: float, hi: float, rel: float) -> float:
-    """The point where a monotone test turns true, in a bracket
-    0 < lo <= hi with ok(lo) false and ok(hi) true: the package's one
-    threshold search.  ok maps an array of points to a boolean array.
-    One vectorized call a step keeps the first of 64 equal cells where ok
-    holds, until hi / lo <= 1 + rel or no double lies strictly inside, so
-    any rel >= 0 ends.  Returns hi, the side where ok holds."""
+        return None
     while hi / lo > 1 + rel and math.nextafter(lo, hi) < hi:
         grid = np.linspace(lo, hi, 65)
         k = 1 + int(np.argmax(np.append(ok(grid[1:-1]), True)))

@@ -218,20 +218,16 @@ def net_bound_level(model: FieldModel, params: MdtParams, delta: float) -> float
     to relative precision 1e-9; NumericError if u = 1e300 is not enough,
     and DomainError, from the first bound, if params is not model.params.
 
-    The bound is nonincreasing in u: _first_true searches
-    [u_star, 1e300] in t = ln u to 1e-12 relative, at most 1e-9 in u.
+    The bound is nonincreasing in u: _first_true searches t = ln u from
+    ln u_star (u_star itself where the bound holds there) to ln 1e300.
     """
     if not (0 < delta <= 1):
         raise DomainError("delta must lie in (0, 1]")
-
-    def ok(u):
-        return finite_net_union_bound(model, params, u) <= delta
-
-    if ok(params.u_star):
-        return params.u_star
-    if not ok(1e300):
+    t_star = math.log(params.u_star)
+    t = _first_true(
+        lambda t: finite_net_union_bound(model, params, np.exp(t)) <= delta,
+        t_star, math.log(1e300), 1e-12)
+    if t is None:
         raise NumericError("net bound never drops to delta",
                            {"law": params.describe(), "delta": delta})
-    return math.exp(_first_true(lambda t: ok(np.exp(t)),
-                                math.log(params.u_star), math.log(1e300),
-                                1e-12))
+    return params.u_star if t == t_star else math.exp(t)

@@ -582,8 +582,8 @@ def confidence_radius(params: MdtParams, n: int, delta: float,
     radius certifies coverage 1 - delta.  v = sqrt(n) u is searched on
     [v_min, v_min 1e8], from the closed-form domain's left end, by
     _first_true in t = ln v to 1e-12 relative (at most 1e-9 in v while
-    t < 1000); the radius is not attained when the bound at the right
-    end still exceeds delta.
+    t < 1000): v_min itself, not exp(ln v_min), where the bound holds
+    there, and not attained (NaN) where it exceeds delta at the right end.
     """
     if n < 1:
         raise DomainError("sample size must be >= 1")
@@ -592,18 +592,12 @@ def confidence_radius(params: MdtParams, n: int, delta: float,
     c_val = _constant(params, c)
     v_min = max(closed_u_min(params), params.u_star)
     sqn = math.sqrt(n)
-    v_max = v_min * 1e8
-    rng = (v_min / sqn, v_max / sqn)
-    if q_bound_closed(params, v_max, c=c_val) > delta:
-        return ConfidenceRadius(radius=math.nan, delta=delta, n=n,
-                                attained=False, constant=c_val, search_range=rng)
-    v = v_min
-    if q_bound_closed(params, v_min, c=c_val) > delta:
-        v = math.exp(_first_true(
-            lambda t: q_bound_closed(params, np.exp(t), c=c_val) <= delta,
-            math.log(v_min), math.log(v_max), 1e-12))
-    return ConfidenceRadius(radius=v / sqn, delta=delta, n=n, attained=True,
-                            constant=c_val, search_range=rng)
+    t_min, t_max = math.log(v_min), math.log(v_min * 1e8)
+    t = _first_true(lambda t: q_bound_closed(params, np.exp(t), c=c_val) <= delta,
+                    t_min, t_max, 1e-12)
+    v = math.nan if t is None else v_min if t == t_min else math.exp(t)
+    return ConfidenceRadius(radius=v / sqn, delta=delta, n=n, attained=t is not None,
+                            constant=c_val, search_range=(v_min / sqn, v_min * 1e8 / sqn))
 
 
 def coverage_miss_rate(params: MdtParams, n: int, radius: float, trials: int,

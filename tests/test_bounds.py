@@ -11,7 +11,7 @@ from modtail.bounds import (c1_pessimistic, calibrate_closed_constant,
 from modtail.distribution import make_mdt, survival
 from modtail.errors import DomainError
 from modtail.fenchel import GeneratingFunction, tail_from_gls
-from modtail.moments import default_p_grid, moment_from_tail, theta
+from modtail.moments import DELTA_P, moment_from_tail, theta
 from modtail.harness import (confidence_radius, default_u_grid, sample,
                              write_csv)
 from modtail.slowvary import ONE, LogPower, parse_sv
@@ -20,13 +20,32 @@ E = math.e
 EE = math.e ** math.e
 
 
+ROSENTHAL_LAWS = [
+    (4.0, 0.5, "lp(1)"), (4.0, 0.0, "c(1)"), (3.0, -1.0, "c(1)"),
+    (3.0, -2.0, "lp(-1)"), (2.5, 0.5, "ilp(2)"), (4.0, -1.0, "c(1)"),
+    (6.0, 1.0, "c(1)"), (2.05, 0.0, "c(1)"), (3.0, 6.0, "c(1)"),
+    (5.0, -0.5, "c(3)*lp(1.5)"), (3.5, -3.0, "lp(-2)*ilp(1)"),
+]
+
+
 def test_rosenthal_dominates_single_draw():
     # at n = 1 the sum moment is the single moment, so the envelope
-    # C1 theta(p) must sit above it for every p
-    params = make_mdt(4.0, 0.5, LogPower(1.0))
-    p = default_p_grid(params, n=17)
-    env = c1_pessimistic(params) * theta(params, p)
-    assert np.all(env >= moment_from_tail(params, p))
+    # C1 theta(p) must sit above it for every p, not only on the 17-point
+    # grid the constant is the max over
+    for beta, gamma, v in ROSENTHAL_LAWS:
+        params = make_mdt(beta, gamma, parse_sv(v))
+        p = np.linspace(2.0, beta - DELTA_P, 200)
+        env = c1_pessimistic(params) * theta(params, p)
+        assert np.all(env >= moment_from_tail(params, p)), (beta, gamma, v)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: in regime B theta "
+                   "vanishes at p = beta - 1 and is floored at THETA_MIN")
+def test_rosenthal_dominates_single_draw_at_regime_b_zero():
+    # C1 theta(3) reads 2.3e-3 against m_3 = 56.0 at (4, -1, c(1))
+    params = make_mdt(4.0, -1.0)
+    assert c1_pessimistic(params) * theta(params, 3.0) >= \
+        moment_from_tail(params, 3.0)
 
 
 @pytest.mark.parametrize("law, bits", [

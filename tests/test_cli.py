@@ -118,6 +118,16 @@ def test_certify_calibrated_mode(tmp_path):
     assert payload["constants"]["c1"] is not None
 
 
+def test_certify_reports_the_constant_it_certified(tmp_path, cfg):
+    # with neither bounds.c1 nor calibration, both upper curves use
+    # c1_pessimistic, and certification.json says so
+    out = tmp_path / "out"
+    assert run(["certify", "--config", cfg, "--out", str(out)]) == 0
+    payload = json.loads((out / "certification.json").read_text())
+    assert payload["constants"] == {"c1": c1_pessimistic(make_mdt(4.0, 0.0)),
+                                    "mode": "pessimistic"}
+
+
 def test_confidence_command(tmp_path, cfg):
     out = tmp_path / "out"
     assert run(["confidence", "--config", cfg, "--out", str(out)]) == 0
@@ -379,6 +389,32 @@ def test_empty_u_grid_is_an_error_not_a_verdict(tmp_path, capsys, key, value):
     path.write_text(yaml.safe_dump(tree))
     assert run(["certify", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
     assert "u-grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bounds, key", [
+    ("{c1: 5.0, mode: calibrated}", "bounds.mode"),
+    ("{calibration_slack_dkw: 4.0}", "bounds.calibration_slack_dkw"),
+    ("{calibration_slack_dkw: 4.0, mode: pessimistic}",
+     "bounds.calibration_slack_dkw"),
+])
+def test_bounds_keys_no_command_reads_are_rejected(tmp_path, capsys, bounds,
+                                                   key):
+    # a given c1 overrides calibration, and the slack only feeds it
+    path = tmp_path / "dead.yaml"
+    path.write_text(FAST_PLAN + f"bounds: {bounds}\n")
+    assert run(["certify", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--threads", "--budget"])
+@pytest.mark.parametrize("command", ["bound", "confidence", "entropy",
+                                     "moments", "fenchel"])
+def test_sampling_flags_only_on_sampling_commands(tmp_path, command, flag):
+    # these commands draw nothing, so a sampling flag would change only the
+    # config-hash line; argparse rejects it with exit 2
+    with pytest.raises(SystemExit) as info:
+        run([command, "--out", str(tmp_path / "o"), flag, "2"])
+    assert info.value.code == 2
 
 
 def test_bounds_mode_must_be_known(tmp_path, capsys):

@@ -141,6 +141,22 @@ def test_bisect():
                                     0.0) == math.pi
 
 
+def test_first_true_answers_at_its_ends():
+    # lo itself when ok(lo) holds, read from that one call alone; None
+    # when ok(hi) fails; else the narrowed side where ok holds
+    calls = []
+
+    def ok(y):
+        calls.append(np.size(y))
+        return np.asarray(y) >= 1.5
+
+    assert distribution._first_true(ok, 1.7, 9.0, 1e-12) == 1.7
+    assert calls == [1]
+    assert distribution._first_true(ok, 0.5, 1.2, 1e-12) is None
+    hi = distribution._first_true(ok, 1.0, 2.0, 1e-12)
+    assert hi >= 1.5 and hi == pytest.approx(1.5, rel=1e-12)
+
+
 def test_describe_prints_numbers_that_read_back():
     assert make_mdt(4.0, 0.0).describe().startswith("beta=4 gamma=0 V=c(1) ")
     assert make_mdt(3.1234567, 0.1234567).describe().startswith(

@@ -410,6 +410,17 @@ def test_confidence_radius_boundary():
             confidence_radius(PARAMS, n=100, delta=delta)
 
 
+def test_searches_return_their_left_end_exactly():
+    # where the bound already holds at the left end, the radius and the
+    # field level are that end itself, not exp(ln end), which is 2 ulps
+    # above e**e and 3 above 100
+    params = make_mdt(3.0, -1.0)  # regime B: the closed form starts at e**e
+    assert confidence_radius(params, n=1, delta=1.0).radius == math.e ** math.e
+    params = make_mdt(4.0, 0.0, u_star=100.0)
+    field = FieldModel(params=params, weights=(1.0,))
+    assert net_bound_level(field, params, 1.0) == 100.0
+
+
 def test_confidence_radius_scales_with_n():
     r1 = confidence_radius(PARAMS, n=100, delta=1e-3)
     r4 = confidence_radius(PARAMS, n=400, delta=1e-3)
